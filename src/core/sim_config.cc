@@ -71,7 +71,10 @@ SimConfig::validate() const
     checkSinkPath("obs.tracePath", obsTracePath);
     checkSinkPath("obs.timelinePath", obsTimelinePath);
     checkSinkPath("fault.logPath", fault.logPath);
-    fault.validate(tLimit());
+    // The escalation ladder only runs when a fault is armed, so only
+    // then must its quarantine exit clear this config's trip point.
+    fault.validate(fault.enabled() ? std::optional<Celsius>(tLimit())
+                                   : std::nullopt);
     fleet.validate(pmEpochS);
 }
 

@@ -19,6 +19,7 @@
 #define DENSIM_FAULT_FAULT_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "core/units.hh"
@@ -123,8 +124,12 @@ struct FaultConfig
     /** Fault RNG stream seed for a run seeded with @p run_seed. */
     std::uint64_t effectiveSeed(std::uint64_t run_seed) const;
 
-    /** Validate ranges; fatal() on nonsense. @p t_limit for exits. */
-    void validate(Celsius t_limit) const;
+    /**
+     * Validate ranges; fatal() on nonsense. Given @p t_limit, the
+     * quarantine exit must also lie below the ladder's trip point;
+     * pass nullopt when the ladder cannot engage (nothing armed).
+     */
+    void validate(std::optional<Celsius> t_limit) const;
 };
 
 /** Parse "lastGood" / "conservative"; fatal() on anything else. */

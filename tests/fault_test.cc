@@ -14,6 +14,7 @@
  * - FaultConfig validation and the opt-in fatal-throws mode.
  */
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -412,6 +413,38 @@ TEST(FaultConfigValidate, RejectsBadValues)
         FaultConfig config;
         config.quarantineExitC = 200.0; // Above the trip point.
         EXPECT_THROW(config.validate(Celsius(95.0)), FatalError);
+    }
+}
+
+TEST(FaultConfigValidate, UnarmedLadderIgnoresTheTripPoint)
+{
+    // tLimitC=60 puts the trip point (63 C) below the default
+    // quarantine exit (70 C); with no fault armed the ladder never
+    // runs, so the config is valid and runs to completion.
+    SimConfig config = baseConfig();
+    config.tLimitC = 60.0;
+    config.simTimeS = 0.3;
+    ASSERT_FALSE(config.fault.enabled());
+    config.validate();
+    DenseServerSim sim(config, makeScheduler("CF"));
+    const SimMetrics m = sim.run();
+    EXPECT_GT(m.jobsCompleted, 0u);
+    EXPECT_TRUE(std::isfinite(m.energyJ));
+}
+
+TEST(FaultConfigValidate, ArmedLadderRejectsExitAboveTheTripPoint)
+{
+    SimConfig config = baseConfig();
+    config.tLimitC = 60.0;
+    config.fault.fanFailS = 0.1;
+    const ScopedFatalThrows guard;
+    try {
+        config.validate();
+        FAIL() << "armed ladder with exit above the trip point accepted";
+    } catch (const FatalError &err) {
+        EXPECT_STREQ(err.what(),
+                     "FaultConfig: fault.quarantineExitC 70 must lie "
+                     "below the emergency trip point 63");
     }
 }
 
