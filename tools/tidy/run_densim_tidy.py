@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """densim AST-grounded determinism & lifetime analyzer — portable driver.
 
-Runs the same five project rules as the clang-tidy plugin module in
-tools/tidy/ (DensimTidyModule, loaded with `clang-tidy -load`), so CI
-keeps full coverage on machines where the plugin cannot be built:
+Runs the densim project rules over the whole tree on any machine
+with python3:
 
   densim-nondeterministic-iteration
       Range-for / iterator walks over std::unordered_{map,set} in
