@@ -28,12 +28,15 @@
  *   then per section: u32 id, u64 payload length, u64 FNV-1a CRC,
  *   payload bytes.
  *
+ * Each section's payload is described once, by a visit that a
+ * SaveArchive and a validating LoadArchive share (ckpt/archive.hh).
  * Loaders validate the header, every section length and every CRC
- * into an in-memory section map *before* mutating any engine state,
- * and every apply-time range check throws ckpt::CkptError — so a
- * truncated, corrupted or hostile file yields a one-line actionable
- * error, never UB and never a partially-restored engine (the engine
- * stays closed; beginRun() fully re-initializes it).
+ * into an in-memory section map *before* mutating any engine state;
+ * every field bound and every cross-field check then throws
+ * ckpt::CkptError — so a truncated, corrupted or hostile file yields
+ * a one-line actionable error, never UB and never a partially-restored
+ * engine (the engine stays closed; beginRun() fully re-initializes
+ * it).
  *
  * What is serialized vs. rebuilt: every mutable floating-point
  * accumulator and per-socket array is stored as raw IEEE-754 bits;

@@ -98,21 +98,12 @@ class Writer
             f64(x);
     }
 
-    void vecU8(const std::vector<std::uint8_t> &v)
-    {
-        size(v.size());
-        for (const std::uint8_t x : v)
-            u8(x);
-    }
-
     void vecSize(const std::vector<std::size_t> &v)
     {
         size(v.size());
         for (const std::size_t x : v)
             size(x);
     }
-
-    const std::string &data() const { return buf_; }
 
     /** Move the buffer out, leaving the writer empty and reusable. */
     std::string take()
