@@ -314,42 +314,11 @@ BENCHMARK(BM_FleetServerSecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-void
-BM_PowerManageRedecision(benchmark::State &state)
-{
-    // Quantized-memo sweep configuration: most powerManage epochs
-    // confirm last epoch's DVFS decision, which is exactly the case
-    // the pmDecisionPrune fast path elides (counted by
-    // dvfs.redecisionsPruned). The quantized memo is used because at
-    // the exact default (dvfsMemoQuantC = 0) a bitwise-equal ambient
-    // across thermal steps is vanishingly rare and the prune is a
-    // structural no-op. Arg(0) re-runs the decision every epoch,
-    // Arg(1) prunes; the bench_diff.py delta between the two rows is
-    // the datapoint pinning the optimization.
-    for (auto _ : state) {
-        SimConfig config;
-        config.load = 0.7;
-        config.simTimeS = 1.0;
-        config.warmupS = 0.2;
-        config.socketTauS = 3.0;
-        config.dvfsMemoQuantC = 0.25;
-        config.pmDecisionPrune = state.range(0) != 0;
-        DenseServerSim sim(config, makeScheduler("CP"));
-        auto metrics = sim.run();
-        benchmark::DoNotOptimize(metrics);
-    }
-}
-BENCHMARK(BM_PowerManageRedecision)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // --- observability overhead (DESIGN.md Sec. 10) ---------------------
-// Two benches pin the disabled-overhead policy: the always-compiled
-// counter increment must stay a plain u64 add, and the engine's
-// DENSIM_OBS_PHASE hook must cost nothing in a default build (it
-// expands to `static_cast<void>(0)`; in a DENSIM_OBS build this bench
-// instead measures the two steady_clock reads of a real PhaseScope).
+// Two benches pin the cost of the always-on hooks: a counter
+// increment must stay a plain u64 add, and one engine PhaseScope is
+// two steady_clock reads plus the accumulate (no trace sink attached,
+// as in an untraced run).
 
 void
 BM_ObsCounterIncrement(benchmark::State &state)
@@ -368,7 +337,7 @@ BM_ObsPhaseHook(benchmark::State &state)
 {
     obs::PhaseProfiler profiler;
     for (auto _ : state) {
-        DENSIM_OBS_PHASE(profiler, obs::Phase::ThermalStep);
+        obs::PhaseScope scope(profiler, obs::Phase::ThermalStep);
         benchmark::DoNotOptimize(profiler);
     }
 }

@@ -854,9 +854,7 @@ CkptAccess::finalizeRestore(DenseServerSim &sim)
         sim.trace_.enable(true);
         sim.trace_.setProcessName(std::string("densim:") +
                                   sim.policy_->name());
-#if DENSIM_ENABLE_OBS
-        sim.profiler_.setSink(&sim.trace_);
-#endif
+        sim.profiler_.setSink(&sim.trace_, &sim.streamNowS_);
     }
 
     sim.streamOpen_ = true;

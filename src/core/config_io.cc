@@ -253,12 +253,9 @@ keyTable()
         {"obs.tracePath", pathf(&SimConfig::obsTracePath)},
         {"obs.timelinePath", pathf(&SimConfig::obsTimelinePath)},
         {"incrementalThermal", boolf(&SimConfig::incrementalThermal)},
-        {"dvfsMemoQuantC", dbl(&SimConfig::dvfsMemoQuantC)},
         {"schedPredictionCache",
          boolf(&SimConfig::schedPredictionCache)},
-        {"ambientBatchFrac", dbl(&SimConfig::ambientBatchFrac)},
         {"busySumSkip", boolf(&SimConfig::busySumSkip)},
-        {"pmDecisionPrune", boolf(&SimConfig::pmDecisionPrune)},
         {"warmStart", boolf(&SimConfig::warmStart)},
         {"seed",
          {[](SimConfig &c, const std::string &k, const std::string &v) {

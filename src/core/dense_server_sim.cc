@@ -137,8 +137,6 @@ DenseServerSim::registerObs()
         &obsRegistry_.counter("engine.schedDecisions");
     count_.dvfsMemoHits = &obsRegistry_.counter("dvfs.memoHits");
     count_.dvfsMemoMisses = &obsRegistry_.counter("dvfs.memoMisses");
-    count_.dvfsRedecisionsPruned =
-        &obsRegistry_.counter("dvfs.redecisionsPruned");
     count_.ambientRefreshes =
         &obsRegistry_.counter("thermal.ambientRefreshes");
     count_.ambientDeltas =
@@ -260,15 +258,7 @@ DenseServerSim::resetState()
     for (std::size_t i = 0; i < pm_.pstates().size(); ++i)
         predCache_.stateFreqMhz[i] = pm_.pstates().at(i).freqMhz;
     predCache_.pstate = pstate_.data();
-    predCache_.exactDvfs =
-        !faultsEnabled_ && config_.dvfsMemoQuantC == 0.0;
-    ambientBatchMin_ =
-        config_.ambientBatchFrac <= 0.0
-            ? 0
-            : std::max<std::size_t>(
-                  1, static_cast<std::size_t>(
-                         std::ceil(config_.ambientBatchFrac *
-                                   static_cast<double>(n))));
+    predCache_.exactDvfs = !faultsEnabled_;
 
     queue_.clear();
     metrics_ = SimMetrics{};
@@ -352,13 +342,7 @@ DenseServerSim::beginRun()
         trace_.enable(true);
         trace_.setProcessName(std::string("densim:") +
                               policy_->name());
-#if DENSIM_ENABLE_OBS
-        profiler_.setSink(&trace_);
-#else
-        warn("obs.tracePath is set but this build has no DENSIM_OBS; "
-             "the trace will carry counter tracks only (no phase "
-             "events)");
-#endif
+        profiler_.setSink(&trace_, &streamNowS_);
     }
 
     streamJobs_.clear();
@@ -512,7 +496,7 @@ DenseServerSim::writeObsOutputs()
         }
         trace_.writeFile(config_.obsTracePath);
         trace_.enable(false);
-        profiler_.setSink(nullptr);
+        profiler_.setSink(nullptr, nullptr);
     }
     if (!config_.obsTimelinePath.empty()) {
         obs::writeTimelineJsonlFile(config_.obsTimelinePath,
@@ -548,7 +532,7 @@ DenseServerSim::refreshAmbientTargets()
 void
 DenseServerSim::thermalStep(double dt)
 {
-    DENSIM_OBS_PHASE(profiler_, obs::Phase::ThermalStep);
+    obs::PhaseScope phase(profiler_, obs::Phase::ThermalStep);
     // The ambient field lags the power field with the 30 s socket
     // time constant; the chip's own Eq. (1) rise follows with the
     // 5 ms chip time constant. The target field is the coupling-map
@@ -558,25 +542,14 @@ DenseServerSim::thermalStep(double dt)
         ++epochsSinceAmbientRefresh_ >= kAmbientRefreshEpochs) {
         refreshAmbientTargets();
     } else if (!dirtySockets_.empty()) {
-        if (ambientBatchMin_ != 0 &&
-            dirtySockets_.size() >= ambientBatchMin_) {
-            // Crossover heuristic: enough sockets changed power this
-            // epoch that one flat batched pass beats the per-socket
-            // delta scatter. The refresh re-derives the field exactly,
-            // but it changes *when* accumulated rounding is flushed —
-            // tolerance mode, off by default (ambientBatchFrac = 0).
-            refreshAmbientTargets();
-        } else {
-            count_.ambientDeltas->inc(dirtySockets_.size());
-            for (std::size_t s : dirtySockets_) {
-                coupling_.applyPowerDelta(ambTargets_, s,
-                                          targetPowerW_[s],
-                                          powerW_[s]);
-                targetPowerW_[s] = powerW_[s];
-                powerDirty_[s] = 0;
-            }
-            dirtySockets_.clear();
+        count_.ambientDeltas->inc(dirtySockets_.size());
+        for (std::size_t s : dirtySockets_) {
+            coupling_.applyPowerDelta(ambTargets_, s, targetPowerW_[s],
+                                      powerW_[s]);
+            targetPowerW_[s] = powerW_[s];
+            powerDirty_[s] = 0;
         }
+        dirtySockets_.clear();
     }
     const std::size_t n = topo_.numSockets();
     const bool measure = tCursor_ >= config_.warmupS;
@@ -676,18 +649,18 @@ DenseServerSim::chooseDvfs(std::size_t socket, WorkloadSet set,
                                              faultRng_);
     }
     const Celsius ambient{ambient_c};
-    if (const DvfsDecision *hit = dvfsMemo_.lookup(
-            socket, set, cap, ambient, config_.dvfsMemoQuantC)) {
+    if (const DvfsDecision *hit =
+            dvfsMemo_.lookup(socket, set, cap, ambient)) {
         count_.dvfsMemoHits->inc();
         return *hit;
     }
     count_.dvfsMemoMisses->inc();
     // The learned feasibility ladder lets the descending search skip
     // states already known infeasible at this ambient. Valid even
-    // under faults or memo quantization: fan derates and sensor
-    // faults perturb the ambient *input*, never the sink/curve/leak
-    // feasibility function the bounds describe, and the chosen
-    // state's decision fields are always computed exactly.
+    // under faults: fan derates and sensor faults perturb the ambient
+    // *input*, never the sink/curve/leak feasibility function the
+    // bounds describe, and the chosen state's decision fields are
+    // always computed exactly.
     predCache_.touchLadder(socket, set);
     const DvfsDecision d = pm_.chooseAtAmbientBounded(
         freqCurveFor(set), leak_, ambient, *sinkCache_[socket], cap,
@@ -699,38 +672,12 @@ DenseServerSim::chooseDvfs(std::size_t socket, WorkloadSet set,
 void
 DenseServerSim::powerManage(double now)
 {
-    DENSIM_OBS_PHASE(profiler_, obs::Phase::PowerManage);
+    obs::PhaseScope phase(profiler_, obs::Phase::PowerManage);
     const std::size_t n = topo_.numSockets();
-    // With faults armed chooseDvfs consumes fault RNG draws (sensor
-    // perturbation), so the decision must be re-run even when every
-    // clean input matches — the prune would desynchronize the stream.
-    const bool prune = config_.pmDecisionPrune && !faultsEnabled_;
     for (std::size_t s = 0; s < n; ++s) {
         if (!busyFlag_[s])
             continue;
         syncProgress(s, now);
-        if (prune) {
-            const DvfsDecision *hit = dvfsMemo_.lookup(
-                s, runningSet_[s], dvfsCap(s),
-                Celsius(ambientC_[s]), config_.dvfsMemoQuantC);
-            if (hit != nullptr && hit->pstate == pstate_[s] &&
-                hit->power.value() == powerW_[s]) {
-                // The memo would hand back this exact decision and
-                // every field setSocketRate derives from it (rate,
-                // relative frequency, boost flag, frequency) is a
-                // pure function of the unchanged P-state and
-                // workload set — already applied bitwise. Only the
-                // completion time depends on `now`; recompute it
-                // exactly as setSocketRate would. The prediction
-                // fast-path snapshot is left stale, which is
-                // conservative, never wrong (sched/prediction.hh).
-                count_.dvfsRedecisionsPruned->inc();
-                completionS_[s] =
-                    now + jobRemainingS_[s] / rateCache_[s];
-                completionHeap_.upsert(s, completionS_[s]);
-                continue;
-            }
-        }
         const DvfsDecision d =
             chooseDvfs(s, runningSet_[s], dvfsCap(s));
         setSocketRate(s, d.pstate, d.power.value(), now);
@@ -747,7 +694,7 @@ void
 DenseServerSim::processWindow(const std::vector<Job> &jobs,
                               std::size_t &next_job, double t0, double t1)
 {
-    DENSIM_OBS_PHASE(profiler_, obs::Phase::ProcessWindow);
+    obs::PhaseScope phase(profiler_, obs::Phase::ProcessWindow);
     (void)t0;
     const double inf = std::numeric_limits<double>::infinity();
     for (;;) {
@@ -1055,7 +1002,7 @@ DenseServerSim::migrateJob(std::size_t from, std::size_t to, double now)
 void
 DenseServerSim::attemptMigrations(double now)
 {
-    DENSIM_OBS_PHASE(profiler_, obs::Phase::Migration);
+    obs::PhaseScope phase(profiler_, obs::Phase::Migration);
     // Move long-running, throttled jobs to sockets where the active
     // policy would place them now — if that destination actually runs
     // faster. This is the paper's Sec. VI suggestion of reusing the

@@ -168,11 +168,7 @@ class DenseServerSim
      */
     const obs::Registry &observability() const { return obsRegistry_; }
 
-    /**
-     * Wall-clock phase totals of the last run. Only populated in
-     * DENSIM_OBS builds — the default build compiles the hot-loop
-     * timer scopes out entirely.
-     */
+    /** Wall-clock phase totals of the last run. */
     const obs::PhaseProfiler &phaseProfile() const { return profiler_; }
 
   private:
@@ -353,7 +349,6 @@ class DenseServerSim
         obs::Counter *schedDecisions = nullptr;
         obs::Counter *dvfsMemoHits = nullptr;
         obs::Counter *dvfsMemoMisses = nullptr;
-        obs::Counter *dvfsRedecisionsPruned = nullptr;
         obs::Counter *ambientRefreshes = nullptr;
         obs::Counter *ambientDeltas = nullptr;
         obs::Counter *timelineSamples = nullptr;
@@ -403,15 +398,6 @@ class DenseServerSim
 
     /** Drop cached penalties of sockets upstream of @p socket. */
     void invalidatePenaltyAround(std::size_t socket);
-
-    /**
-     * Crossover threshold of the batched coupling-field refresh: when
-     * at least this many sockets are power-dirty in one epoch, the
-     * incremental delta path switches to one flat ambientTempsInto
-     * pass. 0 = disabled (exact default); derived from
-     * config_.ambientBatchFrac in resetState.
-     */
-    std::size_t ambientBatchMin_ = 0;
 
     // Construction-time lookups for the per-epoch loops.
     std::vector<const HeatSink *> sinkCache_; //!< topo_.sinkOf(s).

@@ -6,11 +6,7 @@
  * A socket whose (workload set, boost cap, ambient temperature)
  * inputs have not changed since its last power-management epoch gets
  * the previous decision back without re-running the P-state search.
- * At the default quantization of 0 a hit requires a bitwise-equal
- * ambient, so the memo is exact; a positive quantization step
- * coarsens the ambient key into buckets of that width, a documented
- * approximation (power error bounded by step x leakage slope) for
- * large design-space sweeps.
+ * A hit requires a bitwise-equal ambient, so the memo is exact.
  *
  * The memo is keyed implicitly on the P-state table the decisions
  * were made against: reset()/noteTable() record an identity stamp,
@@ -21,7 +17,6 @@
 #ifndef DENSIM_CORE_DVFS_MEMO_HH
 #define DENSIM_CORE_DVFS_MEMO_HH
 
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -70,27 +65,20 @@ class DvfsMemoTable
 
     /**
      * The memoized decision for @p socket if it was made for the same
-     * workload set and boost cap at a matching ambient (bitwise at
-     * @p quant_c == 0, same quantization bucket otherwise); nullptr
+     * workload set and boost cap at a bitwise-equal ambient; nullptr
      * on a miss.
      */
     const DvfsDecision *lookup(std::size_t socket, WorkloadSet set,
-                               std::size_t cap, Celsius ambient,
-                               double quant_c) const
+                               std::size_t cap, Celsius ambient) const
     {
         if (socket >= entries_.size())
             panic("DvfsMemoTable: socket ", socket, " out of range (",
                   entries_.size(), ")");
         const Entry &e = entries_[socket];
-        if (!e.valid || e.set != set || e.cap != cap)
+        if (!e.valid || e.set != set || e.cap != cap ||
+            ambient.value() != e.ambientC)
             return nullptr;
-        const double ambient_c = ambient.value();
-        const bool hit =
-            quant_c > 0.0
-                ? std::floor(ambient_c / quant_c) ==
-                      std::floor(e.ambientC / quant_c)
-                : ambient_c == e.ambientC;
-        return hit ? &e.d : nullptr;
+        return &e.d;
     }
 
     /** Record the decision @p d made for the given inputs. */

@@ -8,7 +8,6 @@
 
 #include "core/config_io.hh"
 #include "obs/json.hh"
-#include "obs/trace.hh"
 #include "sched/factory.hh"
 #include "util/digest.hh"
 #include "util/fs.hh"
@@ -24,15 +23,7 @@ RunSpec
 perRunSpec(const RunSpec &spec, std::size_t i)
 {
     RunSpec out = spec;
-    if (!out.config.obsTracePath.empty())
-        out.config.obsTracePath =
-            obs::perRunPath(out.config.obsTracePath, i);
-    if (!out.config.obsTimelinePath.empty())
-        out.config.obsTimelinePath =
-            obs::perRunPath(out.config.obsTimelinePath, i);
-    if (!out.config.fault.logPath.empty())
-        out.config.fault.logPath =
-            obs::perRunPath(out.config.fault.logPath, i);
+    out.config.usePerRunSinks(i);
     return out;
 }
 

@@ -45,10 +45,11 @@ RunResult runOne(const RunSpec &spec);
  * exception thrown by a worker is rethrown here after the pool
  * drains (util/parallel.hh).
  *
- * Observability sinks are merge-safe: when more than one cell is run
- * and a spec sets obs.tracePath / obs.timelinePath, the path is
- * rewritten to a per-run name ("trace.json" -> "trace-run3.json",
- * obs::perRunPath) so concurrent cells never write the same file.
+ * Output sinks are merge-safe: when more than one cell is run and a
+ * spec sets obs.tracePath / obs.timelinePath / fault.logPath, the
+ * path is rewritten to a per-run name ("trace.json" ->
+ * "trace-run3.json", SimConfig::usePerRunSinks) so concurrent cells
+ * never write the same file.
  */
 std::vector<RunResult> runAll(const std::vector<RunSpec> &specs,
                               unsigned threads = 0);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/json.hh"
+#include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 #include "obs/timeline.hh"
 
@@ -116,6 +117,24 @@ countersToJson(const obs::Registry &registry)
         out += "}";
     }
     out += "}}";
+    return out;
+}
+
+std::string
+phasesToJson(const obs::PhaseProfiler &profiler)
+{
+    std::string out = "{";
+    for (unsigned p = 0; p < static_cast<unsigned>(obs::Phase::Count);
+         ++p) {
+        const auto phase = static_cast<obs::Phase>(p);
+        const obs::PhaseProfiler::Totals t = profiler.totals(phase);
+        if (p != 0)
+            out += ",";
+        obs::json::appendString(out, obs::phaseName(phase));
+        out += ":{\"calls\":" + std::to_string(t.calls) +
+               ",\"ns\":" + std::to_string(t.ns) + "}";
+    }
+    out += "}";
     return out;
 }
 

@@ -15,6 +15,7 @@
 namespace densim {
 
 namespace obs {
+class PhaseProfiler;
 class Registry;
 } // namespace obs
 
@@ -30,6 +31,14 @@ std::string metricsToJson(const SimMetrics &metrics);
  * {"counters":{name:value,...},"gauges":{name:{"value":v,"unit":u}}}.
  */
 std::string countersToJson(const obs::Registry &registry);
+
+/**
+ * Serialize the wall-clock phase totals of @p profiler:
+ * {"thermalStep":{"calls":n,"ns":t},...} in obs::Phase order. Wall
+ * time differs run to run, so this never enters SimMetrics, digests
+ * or checkpoints; the CLI prints it only under --counters.
+ */
+std::string phasesToJson(const obs::PhaseProfiler &profiler);
 
 /**
  * The zone-ambient timeline of @p metrics as JSONL (one strict-JSON

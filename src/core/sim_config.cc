@@ -1,5 +1,6 @@
 #include "core/sim_config.hh"
 
+#include "obs/trace.hh"
 #include "util/fs.hh"
 #include "util/logging.hh"
 
@@ -57,12 +58,6 @@ SimConfig::validate() const
         migrationMinRemainingS < 0.0 || migrationMaxPerPass < 0) {
         fatal("SimConfig: invalid migration parameters");
     }
-    if (dvfsMemoQuantC < 0.0)
-        fatal("SimConfig: DVFS memo quantization must be "
-              "non-negative");
-    if (ambientBatchFrac < 0.0 || ambientBatchFrac > 1.0)
-        fatal("SimConfig: ambient batch crossover fraction must lie "
-              "in [0, 1]");
     if (timelineSampleS < 0.0)
         fatal("SimConfig: timeline sample period must be "
               "non-negative");
@@ -76,6 +71,16 @@ SimConfig::validate() const
     fault.validate(fault.enabled() ? std::optional<Celsius>(tLimit())
                                    : std::nullopt);
     fleet.validate(pmEpochS);
+}
+
+void
+SimConfig::usePerRunSinks(std::size_t run)
+{
+    for (std::string *path :
+         {&obsTracePath, &obsTimelinePath, &fault.logPath}) {
+        if (!path->empty())
+            *path = obs::perRunPath(*path, run);
+    }
 }
 
 } // namespace densim

@@ -96,13 +96,12 @@ struct SimConfig
 
     // Observability sinks (src/obs, DESIGN.md Sec. 10). Set by the
     // CLI/config keys "obs.tracePath" / "obs.timelinePath"; each run
-    // writes its file when the run finishes. Experiment::runAll
-    // rewrites both to per-run names so parallel grid cells never
-    // collide (obs::perRunPath).
+    // writes its file when the run finishes. Experiment::runAll and
+    // FleetSim rewrite both to per-run names so parallel grid cells
+    // and fleet shards never collide (usePerRunSinks).
     /**
-     * Chrome trace_event JSON output path; "" disables. Phase-timer
-     * events require a DENSIM_OBS build — without it the engine
-     * warns and writes a trace containing only counter tracks.
+     * Chrome trace_event JSON output path; "" disables. The trace
+     * carries the phase timers' "X" events and the counter tracks.
      */
     std::string obsTracePath;
     /**
@@ -120,9 +119,11 @@ struct SimConfig
      */
     double fanPowerW = 0.0;
 
-    // Engine performance knobs. The event-heap completion queue and
-    // the incremental idle list are exact and always on; these two
-    // control the remaining hot-path strategies.
+    // Engine performance knobs. The event-heap completion queue, the
+    // incremental idle list and the exact DVFS memo are always on;
+    // these three switch the remaining exact hot-path strategies off,
+    // leaving the reference paths the differential tests compare
+    // against.
     /**
      * Maintain the socket ambient-target field by applying per-socket
      * power deltas through the coupling map (O(changed x downstream)
@@ -135,16 +136,6 @@ struct SimConfig
      */
     bool incrementalThermal = true;
     /**
-     * Ambient quantization step (C) for the per-socket DVFS memo.
-     * At 0 (default) the memo only reuses a decision when (workload
-     * set, boost cap, ambient) match exactly — bit-exact. A positive
-     * step coarsens the ambient key so near-steady sockets skip the
-     * P-state search entirely, introducing a bounded approximation
-     * (power error <= step x leakage slope per socket); useful for
-     * large design-space sweeps.
-     */
-    double dvfsMemoQuantC = 0.0;
-    /**
      * Hand schedulers the per-socket prediction memo
      * (sched/prediction.hh): placement and downstream-penalty results
      * are reused within an epoch and dropped the moment any input
@@ -153,17 +144,6 @@ struct SimConfig
      * tests can run the pristine uncached arithmetic.
      */
     bool schedPredictionCache = true;
-    /**
-     * Crossover fraction for the batched ambient-target refresh: when
-     * more than this fraction of sockets changed power in one epoch,
-     * the incremental delta scatter is replaced by one flat
-     * coupling-field pass. 0 (default) disables the heuristic — the
-     * exact mode; a positive fraction only changes when accumulated
-     * delta rounding (~1e-12 C) is flushed, so metrics may differ in
-     * the last bits (tolerance mode, bounded by the perf-equivalence
-     * crossover test).
-     */
-    double ambientBatchFrac = 0.0;
     /**
      * Skip the busy-sum remove/add round-trip in setSocketRate when a
      * socket's contributions (progress rate, relative frequency,
@@ -176,26 +156,6 @@ struct SimConfig
      * bank). The knob exists for the differential test.
      */
     bool busySumSkip = true;
-    /**
-     * Prune redundant powerManage re-decisions: when the DVFS memo
-     * already holds this socket's decision for the exact (workload
-     * set, boost cap, ambient) inputs AND the applied state (P-state,
-     * socket power) bitwise-equals that decision, skip chooseDvfs and
-     * setSocketRate entirely — only the progress sync and the
-     * completion-time recompute (which depend on `now`) still run.
-     * Exact by construction: every field setSocketRate would write is
-     * a pure function of inputs that did not move, and the piecewise
-     * sums are rebuilt from scratch at the end of the epoch
-     * (rebuildScalars). At the exact memo default (dvfsMemoQuantC =
-     * 0) the prune only fires at a bitwise thermal fixed point; its
-     * payoff is the quantized-memo design-space sweeps, where most
-     * epochs confirm the previous decision. Auto-disabled while
-     * faults are armed, where chooseDvfs consumes fault RNG draws
-     * that must not be skipped.
-     * Bit-identical either way (pinned by the perf-equivalence bank);
-     * the knob exists for the differential test.
-     */
-    bool pmDecisionPrune = true;
 
     /**
      * Fault injection and graceful degradation (src/fault, DESIGN.md
@@ -251,6 +211,15 @@ struct SimConfig
 
     /** Validate ranges; fatal() on nonsense. */
     void validate() const;
+
+    /**
+     * Rewrite every per-run output sink (obs.tracePath,
+     * obs.timelinePath, fault.logPath) to its name for run or shard
+     * @p run (obs::perRunPath), so the runs of one sweep or the
+     * shards of one fleet never write the same file. Unset sinks
+     * stay unset.
+     */
+    void usePerRunSinks(std::size_t run);
 };
 
 } // namespace densim

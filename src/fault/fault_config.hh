@@ -110,8 +110,8 @@ struct FaultConfig
 
     /**
      * JSONL log of every applied fault and escalation event; ""
-     * disables. Experiment::runAll rewrites it per run like the obs
-     * sinks.
+     * disables. Experiment::runAll and FleetSim rewrite it per run
+     * or shard like the obs sinks (SimConfig::usePerRunSinks).
      */
     std::string logPath;
 

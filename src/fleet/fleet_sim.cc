@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/invariant.hh"
-#include "obs/trace.hh"
 #include "sched/factory.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
@@ -34,14 +33,9 @@ FleetSim::FleetSim(const SimConfig &config,
         // alias another shard's or any fault stream.
         shardConfig.seed = domainSeed(fleetSeed_, shard,
                                       fleet_stream::kShardEngine);
-        // One obs sink per shard, following the Experiment per-run
-        // path convention.
-        if (!shardConfig.obsTracePath.empty())
-            shardConfig.obsTracePath =
-                obs::perRunPath(shardConfig.obsTracePath, shard);
-        if (!shardConfig.obsTimelinePath.empty())
-            shardConfig.obsTimelinePath =
-                obs::perRunPath(shardConfig.obsTimelinePath, shard);
+        // One set of output sinks per shard, named like Experiment's
+        // per-run files.
+        shardConfig.usePerRunSinks(shard);
         shards_.push_back(std::make_unique<DenseServerSim>(
             shardConfig, makeScheduler(scheduler)));
     }

@@ -27,7 +27,6 @@ PhaseProfiler::reset()
 {
     totals_.fill(Totals{});
     depth_ = 0;
-    origin_ = Clock::now();
 }
 
 void
@@ -56,13 +55,8 @@ PhaseProfiler::end(Phase phase)
     ++t.calls;
     t.ns += ns;
     if (sink_ != nullptr && sink_->enabled()) {
-        const auto since_origin =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                start - origin_)
-                .count();
-        sink_->addComplete(phaseName(phase), "engine",
-                           static_cast<double>(since_origin) * 1e-3,
-                           static_cast<double>(ns) * 1e-3, depth_);
+        sink_->addComplete(phaseName(phase), "engine", *simNowS_ * 1e6,
+                           0.0, static_cast<int>(phase));
     }
 }
 

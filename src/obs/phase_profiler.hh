@@ -3,23 +3,20 @@
  * Phase timers — wall-clock profiling of the engine's per-epoch
  * phases (thermalStep, powerManage, processWindow, migrations).
  *
- * Two layers:
+ * An RAII PhaseScope reads std::chrono::steady_clock on entry and
+ * exit and accumulates inclusive call count + nanoseconds per phase
+ * in its PhaseProfiler. Scopes nest (a stack tracks the current
+ * depth). The engine opens one scope per phase call in every build;
+ * results are bit-identical with or without a reader because
+ * wall-clock time never feeds back into the model (DESIGN.md
+ * Sec. 10).
  *
- *  - PhaseProfiler / PhaseScope are ordinary, always-compiled
- *    classes: an RAII scope reads std::chrono::steady_clock on entry
- *    and exit and accumulates inclusive call count + nanoseconds per
- *    phase. Scopes nest (a stack tracks the current depth), and when
- *    a TraceSink is attached every scope additionally emits a Chrome
- *    "X" complete event, giving the per-epoch flame view.
- *
- *  - DENSIM_OBS_PHASE(profiler, phase) is what the engine hot loop
- *    uses. It expands to a PhaseScope only when the DENSIM_OBS build
- *    option defined DENSIM_ENABLE_OBS; otherwise it expands to
- *    nothing at all, so a default build has *zero* instructions — no
- *    clock reads, no branches — at the instrumentation points. This
- *    is the disabled-overhead policy the obs benches pin down
- *    (DESIGN.md Sec. 10): simulation results are bit-identical either
- *    way because wall-clock time never feeds back into the model.
+ * When a TraceSink is attached every scope also emits a Chrome "X"
+ * complete event, stamped on the *simulated* clock with zero
+ * duration and one row per phase. Wall time stays out of the trace,
+ * so a traced run writes the same bytes every time (a run restored
+ * from a checkpoint reproduces the uninterrupted run's file); the
+ * wall-clock totals are read from totals() instead.
  */
 
 #ifndef DENSIM_OBS_PHASE_PROFILER_HH
@@ -57,12 +54,17 @@ class PhaseProfiler
     };
 
     /**
-     * Forward every scope to @p sink as a complete event (timestamps
-     * are microseconds since the last reset()). Null detaches.
+     * Forward every scope to @p sink as a complete event stamped
+     * with the simulated time *@p sim_now_s (seconds; the event
+     * timestamp is in microseconds). A null @p sink detaches.
      */
-    void setSink(TraceSink *sink) { sink_ = sink; }
+    void setSink(TraceSink *sink, const double *sim_now_s)
+    {
+        sink_ = sink;
+        simNowS_ = sim_now_s;
+    }
 
-    /** Zero totals and restart the trace timestamp origin. */
+    /** Zero the totals. */
     void reset();
 
     Totals totals(Phase phase) const
@@ -91,11 +93,11 @@ class PhaseProfiler
         totals_{};
     std::array<Clock::time_point, kMaxDepth> starts_{};
     int depth_ = 0;
-    Clock::time_point origin_ = Clock::now();
     TraceSink *sink_ = nullptr;
+    const double *simNowS_ = nullptr;
 };
 
-/** RAII scope timing one phase (see file comment for the macro). */
+/** RAII scope timing one phase. */
 class PhaseScope
 {
   public:
@@ -115,17 +117,5 @@ class PhaseScope
 };
 
 } // namespace densim::obs
-
-// The engine-side hook: a real scope only in DENSIM_OBS builds.
-#if DENSIM_ENABLE_OBS
-#define DENSIM_OBS_PHASE_CAT2(a, b) a##b
-#define DENSIM_OBS_PHASE_CAT(a, b) DENSIM_OBS_PHASE_CAT2(a, b)
-#define DENSIM_OBS_PHASE(profiler, phase)                              \
-    ::densim::obs::PhaseScope DENSIM_OBS_PHASE_CAT(densim_obs_scope_,  \
-                                                   __COUNTER__)(       \
-        (profiler), (phase))
-#else
-#define DENSIM_OBS_PHASE(profiler, phase) static_cast<void>(0)
-#endif
 
 #endif // DENSIM_OBS_PHASE_PROFILER_HH

@@ -9,9 +9,8 @@
  * and durations are microseconds, the trace_event convention.
  *
  * The sink is runtime-gated: record() calls on a disabled sink return
- * immediately, and the engine only constructs scopes that feed it
- * when the DENSIM_OBS build option is on (see phase_profiler.hh), so
- * a release build carries no tracing code in the hot loop at all.
+ * immediately, and the engine only attaches it to the phase profiler
+ * when obs.tracePath is set (see phase_profiler.hh).
  *
  * A soft event cap (default 1M events, ~100 MB of JSON) guards
  * against a paper-length run with tracing left on filling memory:

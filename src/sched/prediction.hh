@@ -42,7 +42,7 @@ namespace densim {
  * schedPredictionCache knob off (ctx.cache == nullptr) and comparing
  * SimMetrics with EXPECT_EQ.
  *
- * When `exactDvfs` is set (no faults, no DVFS memo quantization) the
+ * When `exactDvfs` is set (no faults armed) the
  * penalty loop additionally prunes each downstream P-state search to
  * start at the socket's current state via `pstate`
  * (PowerManager::chooseAtAmbientFrom): the current state was chosen

@@ -401,7 +401,7 @@ TEST(CkptFormat, ImageDigestsArePinned)
 {
     // The wire format, byte for byte. A change to any of these
     // digests is a format change and needs a kVersion bump.
-    EXPECT_EQ(ckpt::kVersion, 1u);
+    EXPECT_EQ(ckpt::kVersion, 2u);
 
     std::string plain;
     {
@@ -443,11 +443,11 @@ TEST(CkptFormat, ImageDigestsArePinned)
         fleet_image = ckpt::saveFleet(fleet);
     }
 
-    EXPECT_EQ(hex64(fnv1a64(plain)), "f95ca338a1d42428")
+    EXPECT_EQ(hex64(fnv1a64(plain)), "aa39d8dd4642b508")
         << plain.size() << " bytes";
-    EXPECT_EQ(hex64(fnv1a64(faulted)), "09922a389fb15a5f")
+    EXPECT_EQ(hex64(fnv1a64(faulted)), "88a0b265a9a2346f")
         << faulted.size() << " bytes";
-    EXPECT_EQ(hex64(fnv1a64(fleet_image)), "72952ed9568979d1")
+    EXPECT_EQ(hex64(fnv1a64(fleet_image)), "1334e3415c79b42a")
         << fleet_image.size() << " bytes";
 }
 
@@ -576,6 +576,23 @@ TEST(HostileInput, WrongMagicVersionKindDigestAreRejected)
     bad = good;
     bad[8] = static_cast<char>(ckpt::kVersion + 1); // version skew
     expectRejected(config, good, bad, "newer version");
+
+    bad = good;
+    bad[8] = static_cast<char>(ckpt::kVersion - 1); // previous format
+    expectRejected(config, good, bad, "older version");
+    try {
+        DenseServerSim sim(config, makeScheduler("CP"));
+        ckpt::restoreEngine(sim, bad);
+        ADD_FAILURE() << "previous-format image accepted";
+    } catch (const ckpt::CkptError &err) {
+        EXPECT_NE(std::string(err.what())
+                      .find("format version " +
+                            std::to_string(ckpt::kVersion - 1) +
+                            ", this build reads version " +
+                            std::to_string(ckpt::kVersion)),
+                  std::string::npos)
+            << err.what();
+    }
 
     bad = good;
     bad[12] = 2; // engine image claiming to be a fleet snapshot

@@ -1,13 +1,9 @@
 /**
  * @file
  * Tests for the DVFS decision memo (core/dvfs_memo.hh): exact-key
- * semantics at quantization 0, bucket semantics at a positive step,
- * invalidation on boost-cap and P-state-table changes, and the
- * engine-level bound on how far a quantized memo may diverge from
- * the exact path.
+ * semantics, invalidation on boost-cap and P-state-table changes, and
+ * the engine-level check that the memo is invisible in the results.
  */
-
-#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -36,36 +32,16 @@ TEST(DvfsMemo, ExactModeRequiresBitwiseEqualAmbient)
                decision(5, 20.0));
 
     const DvfsDecision *hit =
-        memo.lookup(1, WorkloadSet::Computation, 5, Celsius(40.0), 0.0);
+        memo.lookup(1, WorkloadSet::Computation, 5, Celsius(40.0));
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->pstate, 5u);
 
-    // The tiniest ambient change misses in exact mode.
+    // The tiniest ambient change misses.
     EXPECT_EQ(memo.lookup(1, WorkloadSet::Computation, 5,
-                          Celsius(40.0 + 1e-12), 0.0),
+                          Celsius(40.0 + 1e-12)),
               nullptr);
     // Other sockets are independent slots.
-    EXPECT_EQ(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0), 0.0),
-              nullptr);
-}
-
-TEST(DvfsMemo, QuantizedModeHitsWithinBucketOnly)
-{
-    DvfsMemoTable memo;
-    memo.reset(2, &memo);
-    memo.store(0, WorkloadSet::Computation, 5, Celsius(40.1),
-               decision(4, 18.0));
-
-    // 40.1 and 40.2 share the [40.0, 40.25) bucket at a 0.25 C step.
-    EXPECT_NE(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.2), 0.25),
-              nullptr);
-    // 40.3 lands in the next bucket.
-    EXPECT_EQ(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.3), 0.25),
-              nullptr);
-    // Negative ambients bucket consistently too.
-    memo.store(1, WorkloadSet::Computation, 5, Celsius(-0.1),
-               decision(3, 15.0));
-    EXPECT_EQ(memo.lookup(1, WorkloadSet::Computation, 5, Celsius(0.1), 0.25),
+    EXPECT_EQ(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0)),
               nullptr);
 }
 
@@ -78,11 +54,11 @@ TEST(DvfsMemo, CapAndSetChangesMiss)
 
     // The boost-dwell governor lowers the cap when credit runs out:
     // the memoized boost decision must not be replayed.
-    EXPECT_EQ(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0), 1.0),
+    EXPECT_EQ(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0)),
               nullptr);
-    EXPECT_EQ(memo.lookup(0, WorkloadSet::Storage, 7, Celsius(40.0), 1.0),
+    EXPECT_EQ(memo.lookup(0, WorkloadSet::Storage, 7, Celsius(40.0)),
               nullptr);
-    EXPECT_NE(memo.lookup(0, WorkloadSet::Computation, 7, Celsius(40.0), 1.0),
+    EXPECT_NE(memo.lookup(0, WorkloadSet::Computation, 7, Celsius(40.0)),
               nullptr);
 }
 
@@ -98,22 +74,22 @@ TEST(DvfsMemo, PStateTableChangeInvalidatesEverything)
 
     // Same table: entries survive.
     memo.noteTable(&table_a);
-    EXPECT_NE(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0), 0.0),
+    EXPECT_NE(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0)),
               nullptr);
 
     // A different P-state table drops every memoized decision — a
     // decision made against one table must never be replayed against
     // another.
     memo.noteTable(&table_b);
-    EXPECT_EQ(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0), 0.0),
+    EXPECT_EQ(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0)),
               nullptr);
-    EXPECT_EQ(memo.lookup(1, WorkloadSet::Storage, 5, Celsius(35.0), 0.0),
+    EXPECT_EQ(memo.lookup(1, WorkloadSet::Storage, 5, Celsius(35.0)),
               nullptr);
 
     // Entries stored after the swap hit again.
     memo.store(0, WorkloadSet::Computation, 5, Celsius(40.0),
                decision(5, 20.0));
-    EXPECT_NE(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0), 0.0),
+    EXPECT_NE(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0)),
               nullptr);
 }
 
@@ -124,11 +100,11 @@ TEST(DvfsMemo, InvalidateAllDropsEntries)
     memo.store(0, WorkloadSet::Computation, 5, Celsius(40.0),
                decision(5, 20.0));
     memo.invalidateAll();
-    EXPECT_EQ(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0), 0.0),
+    EXPECT_EQ(memo.lookup(0, WorkloadSet::Computation, 5, Celsius(40.0)),
               nullptr);
 }
 
-// --------------------------------------------- engine-level bounds
+// ------------------------------------------------ engine level
 
 SimConfig
 memoConfig()
@@ -143,36 +119,10 @@ memoConfig()
     return config;
 }
 
-TEST(DvfsMemo, QuantizedEngineDivergenceIsBounded)
-{
-    // The quantized memo is a documented approximation: coarser
-    // buckets may reuse a slightly stale decision, but headline
-    // metrics must stay within a few percent of the exact path, and
-    // a finer step must not diverge more than this loose bound.
-    SimConfig exact = memoConfig();
-    DenseServerSim a(exact, makeScheduler("CP"));
-    const SimMetrics ma = a.run();
-
-    for (double quant : {0.1, 0.5}) {
-        SimConfig q = memoConfig();
-        q.dvfsMemoQuantC = quant;
-        DenseServerSim b(q, makeScheduler("CP"));
-        const SimMetrics mb = b.run();
-        SCOPED_TRACE(quant);
-        EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-        EXPECT_NEAR(ma.runtimeExpansion.mean(),
-                    mb.runtimeExpansion.mean(),
-                    0.05 * ma.runtimeExpansion.mean());
-        EXPECT_NEAR(ma.energyJ, mb.energyJ, 0.05 * ma.energyJ);
-        EXPECT_NEAR(ma.avgRelFreq(), mb.avgRelFreq(),
-                    0.05 * ma.avgRelFreq());
-    }
-}
-
 TEST(DvfsMemo, ZeroQuantizationIsExactlyTheUnmemoizedPath)
 {
-    // At quant 0 the memo only ever replays bit-identical inputs, so
-    // identical configurations must produce bit-identical results —
+    // The memo only ever replays bit-identical inputs, so identical
+    // configurations must produce bit-identical results —
     // the memo is invisible. (perf_equivalence_test covers the
     // incremental-vs-reference engine comparison.)
     DenseServerSim a(memoConfig(), makeScheduler("CP"));

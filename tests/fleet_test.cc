@@ -4,10 +4,14 @@
  * engine's streamed run is bit-identical to its one-shot run, a
  * 16-chassis fleet is bit-identical across worker-thread counts,
  * dispatchers are invariant to summary permutation, degenerate fleet
- * configs behave, and the RNG domain separation holds.
+ * configs behave, every shard writes its own fault log, and the RNG
+ * domain separation holds.
  */
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "fleet/fleet_dispatcher.hh"
 #include "fleet/fleet_metrics.hh"
 #include "fleet/fleet_sim.hh"
+#include "obs/trace.hh"
 #include "sched/factory.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -183,6 +188,28 @@ TEST(FleetSim, SingleChassisFleetRoutesEverythingToShardZero)
     EXPECT_GT(m.jobsDispatched, 0u);
     EXPECT_EQ(m.dispatchedPerShard[0], m.jobsDispatched);
     EXPECT_EQ(m.jobsCompleted, m.perShard[0].jobsCompleted);
+}
+
+TEST(FleetSim, EveryShardWritesItsOwnFaultLog)
+{
+    // Shards get per-shard sink names like Experiment's per-run
+    // files; a shared fault.logPath would keep one shard's events.
+    SimConfig config = fleetConfig(2);
+    config.fault.fanFailS = 0.3;
+    config.fault.logPath = testing::TempDir() + "densim_fleet_faults.jsonl";
+    FleetSim fleet(config, "CF");
+    (void)fleet.run(1);
+    for (std::size_t shard = 0; shard < 2; ++shard) {
+        const std::string path =
+            obs::perRunPath(config.fault.logPath, shard);
+        std::ifstream in(path);
+        ASSERT_TRUE(in.good()) << "no fault log at " << path;
+        const std::string log((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+        EXPECT_NE(log.find("\"kind\":\"fanDerate\""), std::string::npos)
+            << path;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(FleetSim, NonIntegralExchangeWindowIsRejected)

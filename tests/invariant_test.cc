@@ -61,11 +61,10 @@ TEST(Invariant, ReducedWorkloadRunsWithChecksEnabled)
     }
 }
 
-TEST(Invariant, ChecksRunWithMigrationAndQuantizedMemo)
+TEST(Invariant, ChecksRunWithMigration)
 {
     SimConfig config = reducedConfig();
     config.migrationEnabled = true;
-    config.dvfsMemoQuantC = 0.25;
     DenseServerSim sim(config, makeScheduler("CP"));
     const SimMetrics m = sim.run();
     EXPECT_GT(m.jobsCompleted, 0u);

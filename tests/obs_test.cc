@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -191,7 +192,8 @@ TEST(ObsProfiler, EmitsCompleteEventsToAttachedSink)
     obs::PhaseProfiler profiler;
     obs::TraceSink sink;
     sink.enable(true);
-    profiler.setSink(&sink);
+    const double sim_now_s = 0.5;
+    profiler.setSink(&sink, &sim_now_s);
     {
         obs::PhaseScope scope(profiler, obs::Phase::ThermalStep);
     }
@@ -434,6 +436,45 @@ TEST(ObsEngine, WritesValidTraceAndTimelineFiles)
     EXPECT_EQ(obs::json::validateLines(timeline, &error),
               static_cast<long>(m.timelineS.size()))
         << error;
+}
+
+TEST(ObsEngine, PhaseTotalsCoverEveryEpochAndReachTheTrace)
+{
+    const std::string trace_path =
+        testing::TempDir() + "obs_test_phases.json";
+    SimConfig config = smallConfig();
+    config.simTimeS = 1.0;
+    config.warmupS = 0.2;
+    config.migrationEnabled = true;
+    config.obsTracePath = trace_path;
+    DenseServerSim sim(config, makeScheduler("CP"));
+    sim.run();
+
+    std::uint64_t epochs = 0;
+    for (const auto &c : sim.observability().counters())
+        if (c.name == "engine.epochs")
+            epochs = c.value;
+    ASSERT_GT(epochs, 0u);
+    const obs::PhaseProfiler &phases = sim.phaseProfile();
+    EXPECT_EQ(phases.totals(obs::Phase::ThermalStep).calls, epochs);
+    EXPECT_EQ(phases.totals(obs::Phase::PowerManage).calls, epochs);
+    EXPECT_EQ(phases.totals(obs::Phase::ProcessWindow).calls, epochs);
+    EXPECT_GT(phases.totals(obs::Phase::Migration).calls, 0u);
+
+    std::string error;
+    EXPECT_TRUE(obs::json::validate(phasesToJson(phases), &error))
+        << error;
+    // Only complete ("X") events carry "dur" after the name.
+    const std::string trace = slurp(trace_path);
+    for (const obs::Phase phase :
+         {obs::Phase::ThermalStep, obs::Phase::PowerManage,
+          obs::Phase::ProcessWindow, obs::Phase::Migration}) {
+        const std::string event = std::string("\"name\":\"") +
+                                  obs::phaseName(phase) + "\",\"dur\":";
+        EXPECT_NE(trace.find(event), std::string::npos)
+            << "no X event for " << obs::phaseName(phase);
+    }
+    std::remove(trace_path.c_str());
 }
 
 // ------------------------------------------------------- metrics I/O

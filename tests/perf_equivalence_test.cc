@@ -94,25 +94,6 @@ TEST(PerfEquivalence, IncrementalThermalMatchesWithMigration)
     expectEquivalent(a.run(), b.run());
 }
 
-TEST(PerfEquivalence, QuantizedDvfsMemoStaysClose)
-{
-    // The quantized memo is a documented approximation: results may
-    // differ from the exact path, but only within the bound set by
-    // the quantization step's effect on the P-state search.
-    SimConfig exact = diffConfig();
-    SimConfig quant = diffConfig();
-    quant.dvfsMemoQuantC = 0.25;
-
-    DenseServerSim a(exact, makeScheduler("CP"));
-    DenseServerSim b(quant, makeScheduler("CP"));
-    const SimMetrics ma = a.run();
-    const SimMetrics mb = b.run();
-    EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-    EXPECT_NEAR(ma.runtimeExpansion.mean(), mb.runtimeExpansion.mean(),
-                0.05 * ma.runtimeExpansion.mean());
-    EXPECT_NEAR(ma.energyJ, mb.energyJ, 0.05 * ma.energyJ);
-}
-
 TEST(PerfEquivalence, ObservabilityIsBitIdentical)
 {
     // The disabled-overhead contract (DESIGN.md Sec. 10) is stronger
@@ -409,86 +390,6 @@ TEST(PerfEquivalence, BusySumSkipIsBitIdentical)
         EXPECT_EQ(ma.back.workDone, mb.back.workDone);
         EXPECT_EQ(ma.even.workDone, mb.even.workDone);
     }
-}
-
-TEST(PerfEquivalence, PmDecisionPruneIsBitIdentical)
-{
-    // powerManage skips chooseDvfs + setSocketRate for a socket whose
-    // memoized decision matches the memo-predicate inputs AND is
-    // already applied bitwise. The skip must be *exact* relative to
-    // the same memo setting: everything setSocketRate would write is
-    // a pure function of inputs that did not move, the completion
-    // time is recomputed with the same expression, and the busy sums
-    // are rebuilt from scratch at the end of the epoch. The quantized
-    // pass is the one where the prune actually fires (at quant 0 a
-    // bitwise-equal ambient across thermal steps is vanishingly
-    // rare); the exact pass pins that it stays inert there. With
-    // faults armed the prune turns itself off (chooseDvfs consumes
-    // fault RNG draws), so those goldens pin the auto-disable path.
-    // Every metric must match EXPECT_EQ on doubles.
-    for (const GoldenRow &g : kGoldens) {
-    for (const double quant : {0.0, 0.25}) {
-        SCOPED_TRACE(std::string(g.name) + " quant=" +
-                     std::to_string(quant));
-        SimConfig pruned = goldenConfig(g.name);
-        pruned.dvfsMemoQuantC = quant;
-        SimConfig redecide = goldenConfig(g.name);
-        redecide.dvfsMemoQuantC = quant;
-        redecide.pmDecisionPrune = false;
-
-        DenseServerSim a(pruned,
-                         makeScheduler(goldenScheduler(g.name)));
-        DenseServerSim b(redecide,
-                         makeScheduler(goldenScheduler(g.name)));
-        const SimMetrics ma = a.run();
-        const SimMetrics mb = b.run();
-        EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-        EXPECT_EQ(ma.jobsCompleted, mb.jobsCompleted);
-        EXPECT_EQ(ma.jobsUnfinished, mb.jobsUnfinished);
-        EXPECT_EQ(ma.migrations, mb.migrations);
-        EXPECT_EQ(ma.energyJ, mb.energyJ);
-        EXPECT_EQ(ma.makespanS, mb.makespanS);
-        EXPECT_EQ(ma.totalWork, mb.totalWork);
-        EXPECT_EQ(ma.totalBusyTime, mb.totalBusyTime);
-        EXPECT_EQ(ma.totalFreqTime, mb.totalFreqTime);
-        EXPECT_EQ(ma.boostTimeS, mb.boostTimeS);
-        EXPECT_EQ(ma.maxChipTempC, mb.maxChipTempC);
-        EXPECT_EQ(ma.runtimeExpansion.mean(),
-                  mb.runtimeExpansion.mean());
-        EXPECT_EQ(ma.serviceExpansion.mean(),
-                  mb.serviceExpansion.mean());
-        EXPECT_EQ(ma.queueDelayS.mean(), mb.queueDelayS.mean());
-        EXPECT_EQ(ma.chipTempC.mean(), mb.chipTempC.mean());
-        EXPECT_EQ(ma.front.workDone, mb.front.workDone);
-        EXPECT_EQ(ma.back.workDone, mb.back.workDone);
-        EXPECT_EQ(ma.even.workDone, mb.even.workDone);
-    }
-    }
-}
-
-TEST(PerfEquivalence, AmbientBatchCrossoverStaysClose)
-{
-    // The batched ambient-target refresh is a documented tolerance
-    // mode (like the quantized DVFS memo): when enough sockets are
-    // dirty it recomputes the whole field from busy sums instead of
-    // applying per-socket deltas, reordering float accumulation.
-    // Results must stay close, not identical.
-    SimConfig exact = diffConfig();
-    SimConfig batched = diffConfig();
-    batched.ambientBatchFrac = 0.05; // Batch aggressively.
-
-    DenseServerSim a(exact, makeScheduler("CP"));
-    DenseServerSim b(batched, makeScheduler("CP"));
-    const SimMetrics ma = a.run();
-    const SimMetrics mb = b.run();
-    EXPECT_EQ(ma.jobsArrived, mb.jobsArrived);
-    EXPECT_NEAR(ma.jobsCompleted, mb.jobsCompleted,
-                0.05 * ma.jobsCompleted);
-    EXPECT_NEAR(ma.runtimeExpansion.mean(), mb.runtimeExpansion.mean(),
-                0.05 * ma.runtimeExpansion.mean());
-    EXPECT_NEAR(ma.energyJ, mb.energyJ, 0.05 * ma.energyJ);
-    EXPECT_NEAR(ma.maxChipTempC, mb.maxChipTempC,
-                0.05 * ma.maxChipTempC);
 }
 
 // ------------------------------------------------------- event heap

@@ -6,7 +6,11 @@
 #   tools/check.sh [stage ...]
 #
 # Stages (default: every stage the local toolchain supports):
-#   plain     RelWithDebInfo build + full ctest, warnings-as-errors
+#   plain     RelWithDebInfo build + full ctest, warnings-as-errors,
+#             then a CLI smoke run with tracing and the timeline
+#             stream on: the trace JSON and JSONL are parsed with
+#             python3 -m json.tool / json.loads, and the trace must
+#             hold the phase timers' events (DESIGN.md Sec. 10)
 #   asan      ASan+UBSan build + full ctest (DENSIM_CHECKS on)
 #   tsan      ThreadSanitizer build + the experiment-runner and
 #             differential tests (the only multithreaded paths)
@@ -21,10 +25,6 @@
 #             clean whole-tree scan on the builtin frontend (gating,
 #             needs only python3), then the same on the clang AST
 #             frontend when clang is on PATH (also gating)
-#   obs       DENSIM_OBS=ON build + the obs/equivalence tests, then a
-#             CLI smoke run with tracing and the timeline stream on;
-#             the emitted trace JSON and JSONL are parsed with
-#             python3 -m json.tool / json.loads (DESIGN.md Sec. 10)
 #   fault     ASan+UBSan+DENSIM_CHECKS build + the fault-injection and
 #             keep-going tests, then two CLI smokes: a fan-failure run
 #             whose JSON output and JSONL fault log must parse
@@ -87,6 +87,31 @@ stage_plain() {
     configure build-check
     build build-check
     run_ctest build-check
+    # End-to-end: a small sim with every sink on must emit JSON that
+    # strict parsers accept, a trace carrying the phase events, and a
+    # timeline on the exact sample grid.
+    local out="build-check/obs-smoke"
+    mkdir -p "$out"
+    ./build-check/tools/densim run --scheduler CP --load 0.6 \
+        --set simTimeS=2 --set warmupS=0.5 --set timelineSampleS=0.25 \
+        --set obs.tracePath="$out/trace.json" \
+        --set obs.timelinePath="$out/timeline.jsonl" \
+        --json --counters > "$out/run.json"
+    python3 -m json.tool "$out/trace.json" > /dev/null
+    python3 -m json.tool "$out/run.json" > /dev/null
+    python3 - "$out/trace.json" "$out/timeline.jsonl" <<'EOF'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+assert any(e["ph"] == "X" and e["name"] == "thermalStep" for e in events), \
+    "trace has no thermalStep X event"
+lines = [l for l in open(sys.argv[2]) if l.strip()]
+assert lines, "timeline stream is empty"
+for i, line in enumerate(lines):
+    row = json.loads(line)
+    assert row["tS"] == 0.25 * i, f"line {i}: {row['tS']} off-grid"
+print(f"obs smoke: thermalStep events in the trace, {len(lines)} "
+      "timeline samples on the exact grid")
+EOF
 }
 
 stage_asan() {
@@ -106,32 +131,6 @@ stage_paranoid() {
     configure build-paranoid -DDENSIM_PARANOID=ON
     build build-paranoid
     run_ctest build-paranoid -R "$PARANOID_FILTER"
-}
-
-stage_obs() {
-    configure build-obs -DDENSIM_OBS=ON
-    build build-obs
-    run_ctest build-obs -R 'Obs|PerfEquivalence'
-    # End-to-end: a small sim with every sink on must emit JSON that
-    # strict parsers accept and a timeline on the exact sample grid.
-    local out="build-obs/obs-smoke"
-    mkdir -p "$out"
-    ./build-obs/tools/densim run --scheduler CP --load 0.6 \
-        --set simTimeS=2 --set warmupS=0.5 --set timelineSampleS=0.25 \
-        --set obs.tracePath="$out/trace.json" \
-        --set obs.timelinePath="$out/timeline.jsonl" \
-        --json --counters > "$out/run.json"
-    python3 -m json.tool "$out/trace.json" > /dev/null
-    python3 -m json.tool "$out/run.json" > /dev/null
-    python3 - "$out/timeline.jsonl" <<'EOF'
-import json, sys
-lines = [l for l in open(sys.argv[1]) if l.strip()]
-assert lines, "timeline stream is empty"
-for i, line in enumerate(lines):
-    row = json.loads(line)
-    assert row["tS"] == 0.25 * i, f"line {i}: {row['tS']} off-grid"
-print(f"obs smoke: {len(lines)} timeline samples on the exact grid")
-EOF
 }
 
 stage_fault() {
@@ -323,12 +322,12 @@ stage_tidy() {
 if [ "$#" -gt 0 ]; then
     stages=("$@")
 else
-    stages=(plain asan tsan paranoid obs fault fleet ckpt lint tidy)
+    stages=(plain asan tsan paranoid fault fleet ckpt lint tidy)
 fi
 
 for stage in "${stages[@]}"; do
     case "$stage" in
-        plain|asan|tsan|paranoid|obs|fault|fleet|ckpt|lint|tidy|bench) ;;
+        plain|asan|tsan|paranoid|fault|fleet|ckpt|lint|tidy|bench) ;;
         *)
             echo "check.sh: unknown stage '$stage'" >&2
             exit 2

@@ -30,6 +30,7 @@
 #include "core/metrics_io.hh"
 #include "fleet/fleet_metrics.hh"
 #include "fleet/fleet_sim.hh"
+#include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 #include "sched/factory.hh"
 #include "util/logging.hh"
@@ -65,6 +66,8 @@ usage()
         "  --seed N             RNG seed\n"
         "  --json / --csv       machine-readable output\n"
         "  --counters           report observability counters/gauges\n"
+        "                       and (single-chassis run) the engine\n"
+        "                       phases' wall-clock calls and ns\n"
         "  --trace FILE         trace path for trace-* commands\n"
         "  --jobs N             jobs to capture (trace-capture)\n"
         "  --threads N          sweep/fleet worker threads (0 = all\n"
@@ -118,9 +121,9 @@ usage()
         "\n"
         "observability (DESIGN.md Sec. 10):\n"
         "  --set obs.tracePath=F     write a Chrome trace_event JSON\n"
-        "                            (phase events need a DENSIM_OBS\n"
-        "                            build; load in chrome://tracing\n"
-        "                            or Perfetto)\n"
+        "                            (phase and fault events on the\n"
+        "                            simulated clock; load in\n"
+        "                            chrome://tracing or Perfetto)\n"
         "  --set obs.timelinePath=F  write the zone-ambient timeline\n"
         "                            as JSONL; needs --set\n"
         "                            timelineSampleS=X (X > 0)\n";
@@ -292,6 +295,23 @@ printCounterTable(const obs::Registry &registry)
     gauges.print(std::cout);
 }
 
+/** Wall-clock totals of the engine phases (not part of any result). */
+void
+printPhaseTable(const obs::PhaseProfiler &profiler)
+{
+    TableWriter table({"Phase", "Calls", "Wall ns"});
+    for (unsigned p = 0; p < static_cast<unsigned>(obs::Phase::Count);
+         ++p) {
+        const auto phase = static_cast<obs::Phase>(p);
+        const obs::PhaseProfiler::Totals t = profiler.totals(phase);
+        table.newRow()
+            .cell(obs::phaseName(phase))
+            .cell(static_cast<long long>(t.calls))
+            .cell(static_cast<long long>(t.ns));
+    }
+    table.print(std::cout);
+}
+
 void
 report(const Cli &cli, const SimConfig &config,
        const DenseServerSim &sim, const SimMetrics &m)
@@ -303,7 +323,9 @@ report(const Cli &cli, const SimConfig &config,
     if (cli.json) {
         if (cli.counters) {
             out << "{\"metrics\":" << metricsToJson(m) << ",\"obs\":"
-                << countersToJson(sim.observability()) << "}\n";
+                << countersToJson(sim.observability())
+                << ",\"phases\":" << phasesToJson(sim.phaseProfile())
+                << "}\n";
         } else {
             out << metricsToJson(m) << "\n";
         }
@@ -311,8 +333,10 @@ report(const Cli &cli, const SimConfig &config,
         return;
     }
     printRunTable(cli.scheduler, config, m);
-    if (cli.counters)
+    if (cli.counters) {
         printCounterTable(sim.observability());
+        printPhaseTable(sim.phaseProfile());
+    }
 }
 
 void
