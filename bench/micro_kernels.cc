@@ -129,7 +129,9 @@ BM_SchedulerDecision(benchmark::State &state)
     std::vector<WorkloadSet> sets(n, WorkloadSet::Computation);
     std::vector<std::uint8_t> busy(n, 0);
     std::vector<std::size_t> idle;
+    std::vector<int> rows(n, 0);
     for (std::size_t s = 0; s < n; ++s) {
+        rows[s] = topo.rowOf(s);
         if (s % 2 == 0) {
             busy[s] = true;
             freq[s] = 1500.0;
@@ -139,6 +141,7 @@ BM_SchedulerDecision(benchmark::State &state)
             chip[s] = 30.0 + static_cast<double>(s % 17);
         }
     }
+    Arena arena(64 * 1024);
     SchedContext ctx;
     ctx.topo = &topo;
     ctx.coupling = &coupling;
@@ -155,7 +158,9 @@ BM_SchedulerDecision(benchmark::State &state)
     ctx.freqMhz = freq.data();
     ctx.runningSet = sets.data();
     ctx.busy = busy.data();
+    ctx.socketRow = rows.data();
     ctx.rng = &rng;
+    ctx.scratch = &arena;
 
     auto policy = makeScheduler(name);
     Job job{0, 0, WorkloadSet::Computation, 0.0, 5e-3};

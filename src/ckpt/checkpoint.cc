@@ -592,7 +592,7 @@ CkptAccess::visitFault(Ar &ar, Sim &sim)
              "fan flow fraction");
 }
 
-// --- SCHED: DVFS memo and prediction cache ----------------------------
+// --- SCHED: prediction cache and feasibility ladder -------------------
 
 template <class Ar, class Sim>
 void
@@ -600,16 +600,6 @@ CkptAccess::visitSched(Ar &ar, Sim &sim)
 {
     const std::size_t n = sim.topo_.numSockets();
     const std::size_t np = sim.pm_.pstates().size();
-
-    ar.same(sim.dvfsMemo_.entries_.size(), "dvfs memo entry count");
-    for (auto &e : sim.dvfsMemo_.entries_) {
-        ar.boolean(e.valid);
-        ar.enumeration(e.set, WorkloadSet::GeneralPurpose, "dvfs memo",
-                       "workload set");
-        ar.index(e.cap, np, "dvfs memo boost cap");
-        ar.f64(e.ambientC);
-        visitDecision(ar, e.d, np, "dvfs memo decision");
-    }
 
     auto &pc = sim.predCache_;
     ar.u64(pc.epoch);

@@ -135,8 +135,6 @@ DenseServerSim::registerObs()
     count_.migrations = &obsRegistry_.counter("engine.migrations");
     count_.schedDecisions =
         &obsRegistry_.counter("engine.schedDecisions");
-    count_.dvfsMemoHits = &obsRegistry_.counter("dvfs.memoHits");
-    count_.dvfsMemoMisses = &obsRegistry_.counter("dvfs.memoMisses");
     count_.ambientRefreshes =
         &obsRegistry_.counter("thermal.ambientRefreshes");
     count_.ambientDeltas =
@@ -241,7 +239,6 @@ DenseServerSim::resetState()
     dirtySockets_.clear();
     epochsSinceAmbientRefresh_ = 0;
 
-    dvfsMemo_.reset(n, &PStateTable::x2150());
     rateCache_.assign(n, 0.0);
     relFreqCache_.assign(n, 0.0);
     inBusySums_.assign(n, 0);
@@ -648,13 +645,6 @@ DenseServerSim::chooseDvfs(std::size_t socket, WorkloadSet set,
         ambient_c = faultState_.dvfsAmbientC(socket, Celsius(ambient_c),
                                              faultRng_);
     }
-    const Celsius ambient{ambient_c};
-    if (const DvfsDecision *hit =
-            dvfsMemo_.lookup(socket, set, cap, ambient)) {
-        count_.dvfsMemoHits->inc();
-        return *hit;
-    }
-    count_.dvfsMemoMisses->inc();
     // The learned feasibility ladder lets the descending search skip
     // states already known infeasible at this ambient. Valid even
     // under faults: fan derates and sensor faults perturb the ambient
@@ -662,11 +652,10 @@ DenseServerSim::chooseDvfs(std::size_t socket, WorkloadSet set,
     // bounds describe, and the chosen state's decision fields are
     // always computed exactly.
     predCache_.touchLadder(socket, set);
-    const DvfsDecision d = pm_.chooseAtAmbientBounded(
-        freqCurveFor(set), leak_, ambient, *sinkCache_[socket], cap,
-        predCache_.ladderLo(socket), predCache_.ladderHi(socket));
-    dvfsMemo_.store(socket, set, cap, ambient, d);
-    return d;
+    return pm_.chooseAtAmbientBounded(
+        freqCurveFor(set), leak_, Celsius(ambient_c),
+        *sinkCache_[socket], cap, predCache_.ladderLo(socket),
+        predCache_.ladderHi(socket));
 }
 
 void

@@ -34,8 +34,8 @@
  * idle-socket list and the piecewise-integration sums are maintained
  * by delta updates, the ambient-target field is updated through
  * CouplingMap::applyPowerDelta for the sockets whose power actually
- * changed, and per-socket DVFS decisions are memoized on (workload
- * set, boost cap, ambient).
+ * changed, and each DVFS search skips the P-states the per-socket
+ * feasibility ladder already proves infeasible.
  */
 
 #ifndef DENSIM_CORE_DENSE_SERVER_SIM_HH
@@ -45,7 +45,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/dvfs_memo.hh"
 #include "core/effects.hh"
 #include "core/event_heap.hh"
 #include "core/metrics.hh"
@@ -249,7 +248,11 @@ class DenseServerSim
     /** Read-only policy view over the current idle list. */
     SchedContext makeSchedContext() const;
 
-    /** Memoizing wrapper around PowerManager::chooseAtAmbientCapped. */
+    /**
+     * The epoch governor's decision for @p socket: the sensed (fault-
+     * substituted) ambient fed to PowerManager::chooseAtAmbientBounded
+     * through the socket's feasibility ladder.
+     */
     DvfsDecision chooseDvfs(std::size_t socket, WorkloadSet set,
                             std::size_t cap);
 
@@ -347,8 +350,6 @@ class DenseServerSim
         obs::Counter *jobsCompleted = nullptr;
         obs::Counter *migrations = nullptr;
         obs::Counter *schedDecisions = nullptr;
-        obs::Counter *dvfsMemoHits = nullptr;
-        obs::Counter *dvfsMemoMisses = nullptr;
         obs::Counter *ambientRefreshes = nullptr;
         obs::Counter *ambientDeltas = nullptr;
         obs::Counter *timelineSamples = nullptr;
@@ -375,9 +376,6 @@ class DenseServerSim
     std::vector<char> powerDirty_;
     std::vector<std::size_t> dirtySockets_;
     std::size_t epochsSinceAmbientRefresh_ = 0;
-
-    /** Last DVFS decision per socket and the inputs it was made for. */
-    DvfsMemoTable dvfsMemo_;
 
     /**
      * Per-epoch scratch arena (thermal kernel targets, CP candidate

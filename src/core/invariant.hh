@@ -3,10 +3,11 @@
  * Runtime invariant checker for the incremental engine —
  * compiled out by default, loud when enabled.
  *
- * PR 1 replaced densim's recompute-from-scratch reference paths with
- * incremental machinery (delta-maintained coupling field, indexed
- * event heap, cached LU factorization, DVFS memoization) whose
- * correctness rests entirely on invalidation discipline. This header
+ * The engine's hot paths are incremental machinery in place of
+ * recompute-from-scratch references (delta-maintained coupling
+ * field, indexed event heap, cached LU factorization, the DVFS
+ * feasibility ladder) whose correctness rests entirely on
+ * invalidation discipline. This header
  * provides the assertion layer that makes a violated invariant abort
  * the run instead of silently drifting the physics:
  *

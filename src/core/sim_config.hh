@@ -120,10 +120,10 @@ struct SimConfig
     double fanPowerW = 0.0;
 
     // Engine performance knobs. The event-heap completion queue, the
-    // incremental idle list and the exact DVFS memo are always on;
-    // these three switch the remaining exact hot-path strategies off,
-    // leaving the reference paths the differential tests compare
-    // against.
+    // incremental idle list and the DVFS feasibility ladder are
+    // always on; these three switch the remaining exact hot-path
+    // strategies off, leaving the reference paths the differential
+    // tests compare against.
     /**
      * Maintain the socket ambient-target field by applying per-socket
      * power deltas through the coupling map (O(changed x downstream)

@@ -1,7 +1,5 @@
 #include "power/power_manager.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace densim {
@@ -54,12 +52,47 @@ PowerManager::dynamicPower(const FreqCurve &curve,
     return Watts(dyn);
 }
 
-Watts
-PowerManager::totalPower(const FreqCurve &curve, const LeakageModel &leak,
-                         std::size_t i, Celsius chip) const
+PowerManager::StateEval
+PowerManager::evalState(const FreqCurve &curve, const LeakageModel &leak,
+                        Celsius ambient, const HeatSink &sink,
+                        std::size_t idx) const
 {
-    return Watts(dynamicPower(curve, leak, i).value() +
-                 leak.at(chip).value());
+    const double p90 = curve.totalPowerAt90C[idx];
+    const double t1 = peak_.peak(ambient, Watts(p90), sink).value();
+    const double p2 = dynamicPower(curve, leak, idx).value() +
+                      leak.at(Celsius(t1)).value();
+    return {p2, peak_.peak(ambient, Watts(p2), sink).value()};
+}
+
+DvfsDecision
+PowerManager::searchDown(const FreqCurve &curve, const LeakageModel &leak,
+                         Celsius ambient, const HeatSink &sink,
+                         std::size_t first, double *lo,
+                         double *hi) const
+{
+    checkCurve(curve);
+    countSearch();
+    if (first >= table_.size())
+        panic("PowerManager: max P-state ", first, " out of range");
+    const double amb_c = ambient.value();
+    for (std::size_t idx = first + 1; idx-- > 0;) {
+        if (hi != nullptr && idx > 0 && amb_c >= hi[idx])
+            continue; // Known infeasible at a cooler-or-equal probe.
+        const StateEval e = evalState(curve, leak, ambient, sink, idx);
+        const bool ok = e.peak <= tLimitC_;
+        if (lo != nullptr) {
+            if (ok) {
+                if (amb_c > lo[idx])
+                    lo[idx] = amb_c;
+            } else if (amb_c < hi[idx]) {
+                hi[idx] = amb_c;
+            }
+        }
+        if (ok || idx == 0)
+            return {idx, table_.at(idx).freqMhz, Watts(e.power),
+                    Celsius(e.peak), ok};
+    }
+    panic("unreachable: P-state loop fell through");
 }
 
 DvfsDecision
@@ -72,64 +105,14 @@ PowerManager::chooseAtAmbient(const FreqCurve &curve,
 }
 
 DvfsDecision
-PowerManager::searchDownFrom(const FreqCurve &curve,
-                             const LeakageModel &leak, Celsius ambient,
-                             const HeatSink &sink,
-                             std::size_t first) const
-{
-    DvfsDecision decision{};
-    for (std::size_t idx = first + 1; idx-- > 0;) {
-        // Two-pass leakage compensation: estimate the peak at the
-        // 90 C-characterized power, correct leakage for the estimated
-        // temperature, and re-estimate.
-        const double p90 = curve.totalPowerAt90C[idx];
-        const double t1 =
-            peak_.peak(ambient, Watts(p90), sink).value();
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 =
-            peak_.peak(ambient, Watts(p2), sink).value();
-        if (t2 <= tLimitC_ || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = t2 <= tLimitC_;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
-}
-
-DvfsDecision
 PowerManager::chooseAtAmbientCapped(const FreqCurve &curve,
                                     const LeakageModel &leak,
                                     Celsius ambient,
                                     const HeatSink &sink,
                                     std::size_t max_pstate) const
 {
-    checkCurve(curve);
-    countSearch();
-    if (max_pstate >= table_.size())
-        panic("chooseAtAmbientCapped: max P-state ", max_pstate,
-              " out of range");
-    return searchDownFrom(curve, leak, ambient, sink, max_pstate);
-}
-
-DvfsDecision
-PowerManager::chooseAtAmbientFrom(const FreqCurve &curve,
-                                  const LeakageModel &leak,
-                                  Celsius ambient, const HeatSink &sink,
-                                  std::size_t max_pstate,
-                                  std::size_t start_pstate) const
-{
-    checkCurve(curve);
-    countSearch();
-    if (max_pstate >= table_.size())
-        panic("chooseAtAmbientFrom: max P-state ", max_pstate,
-              " out of range");
-    return searchDownFrom(curve, leak, ambient, sink,
-                          std::min(start_pstate, max_pstate));
+    return searchDown(curve, leak, ambient, sink, max_pstate, nullptr,
+                      nullptr);
 }
 
 bool
@@ -137,12 +120,8 @@ PowerManager::feasibleAt(const FreqCurve &curve,
                          const LeakageModel &leak, Celsius ambient,
                          const HeatSink &sink, std::size_t pstate) const
 {
-    const double p90 = curve.totalPowerAt90C[pstate];
-    const double t1 = peak_.peak(ambient, Watts(p90), sink).value();
-    const double p2 = dynamicPower(curve, leak, pstate).value() +
-                      leak.at(Celsius(t1)).value();
-    const double t2 = peak_.peak(ambient, Watts(p2), sink).value();
-    return t2 <= tLimitC_;
+    return evalState(curve, leak, ambient, sink, pstate).peak <=
+           tLimitC_;
 }
 
 DvfsDecision
@@ -154,143 +133,8 @@ PowerManager::chooseAtAmbientBounded(const FreqCurve &curve,
                                      double *max_feas_c,
                                      double *min_infeas_c) const
 {
-    checkCurve(curve);
-    countSearch();
-    if (max_pstate >= table_.size())
-        panic("chooseAtAmbientBounded: max P-state ", max_pstate,
-              " out of range");
-    const double amb_c = ambient.value();
-    DvfsDecision decision{};
-    for (std::size_t idx = max_pstate + 1; idx-- > 0;) {
-        if (idx > 0 && amb_c >= min_infeas_c[idx])
-            continue; // Known infeasible at a cooler-or-equal probe.
-        const double p90 = curve.totalPowerAt90C[idx];
-        const double t1 =
-            peak_.peak(ambient, Watts(p90), sink).value();
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 =
-            peak_.peak(ambient, Watts(p2), sink).value();
-        const bool ok = t2 <= tLimitC_;
-        if (ok) {
-            if (amb_c > max_feas_c[idx])
-                max_feas_c[idx] = amb_c;
-        } else if (amb_c < min_infeas_c[idx]) {
-            min_infeas_c[idx] = amb_c;
-        }
-        if (ok || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = ok;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
-}
-
-DvfsDecision
-PowerManager::chooseSteady(const FreqCurve &curve,
-                           const LeakageModel &leak, Celsius entry,
-                           KelvinPerWatt kappa_local,
-                           const HeatSink &sink) const
-{
-    checkCurve(curve);
-    countSearch();
-    const double entry_c = entry.value();
-    const double kappa = kappa_local.value();
-    DvfsDecision decision{};
-    for (std::size_t idx = table_.size(); idx-- > 0;) {
-        const double p90 = curve.totalPowerAt90C[idx];
-        // First pass: ambient from the 90 C-characterized power.
-        const double t1 = peak_.peak(Celsius(entry_c + kappa * p90),
-                                     Watts(p90), sink)
-                              .value();
-        // Second pass: leakage-corrected power, self-consistent
-        // ambient.
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 = peak_.peak(Celsius(entry_c + kappa * p2),
-                                     Watts(p2), sink)
-                              .value();
-        if (t2 <= tLimitC_ || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = t2 <= tLimitC_;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
-}
-
-DvfsDecision
-PowerManager::chooseWithSinkState(const FreqCurve &curve,
-                                  const LeakageModel &leak,
-                                  Celsius ambient, CelsiusDelta sink_rise,
-                                  const HeatSink &sink) const
-{
-    checkCurve(curve);
-    countSearch();
-    const double base = ambient.value() + sink_rise.value();
-    const double r_int = peak_.rInt().value();
-    auto instant_peak = [&](double p) {
-        return base + p * r_int + sink.theta(Watts(p)).value();
-    };
-    DvfsDecision decision{};
-    for (std::size_t idx = table_.size(); idx-- > 0;) {
-        const double p90 = curve.totalPowerAt90C[idx];
-        const double t1 = instant_peak(p90);
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 = instant_peak(p2);
-        if (t2 <= tLimitC_ || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = t2 <= tLimitC_;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
-}
-
-DvfsDecision
-PowerManager::chooseResponsive(const FreqCurve &curve,
-                               const LeakageModel &leak, Celsius entry,
-                               KelvinPerWatt kappa_local,
-                               CelsiusDelta sink_rise,
-                               const HeatSink &sink) const
-{
-    checkCurve(curve);
-    countSearch();
-    const double base = entry.value() + sink_rise.value();
-    const double kappa = kappa_local.value();
-    const double r_int = peak_.rInt().value();
-    auto instant_peak = [&](double p) {
-        return base + kappa * p + p * r_int +
-               sink.theta(Watts(p)).value();
-    };
-    DvfsDecision decision{};
-    for (std::size_t idx = table_.size(); idx-- > 0;) {
-        const double p90 = curve.totalPowerAt90C[idx];
-        const double t1 = instant_peak(p90);
-        const double p2 = dynamicPower(curve, leak, idx).value() +
-                          leak.at(Celsius(t1)).value();
-        const double t2 = instant_peak(p2);
-        if (t2 <= tLimitC_ || idx == 0) {
-            decision.pstate = idx;
-            decision.freqMhz = table_.at(idx).freqMhz;
-            decision.power = Watts(p2);
-            decision.predictedPeak = Celsius(t2);
-            decision.feasible = t2 <= tLimitC_;
-            return decision;
-        }
-    }
-    panic("unreachable: P-state loop fell through");
+    return searchDown(curve, leak, ambient, sink, max_pstate,
+                      max_feas_c, min_infeas_c);
 }
 
 Watts

@@ -93,26 +93,7 @@ class PowerManager
                                        std::size_t max_pstate) const;
 
     /**
-     * chooseAtAmbientCapped with the descending feasibility search
-     * started at min(@p start_pstate, @p max_pstate) instead of
-     * @p max_pstate. Returns the identical decision *provided* every
-     * state above the start point is already known infeasible at this
-     * (curve, ambient, sink) — which holds when @p start_pstate is the
-     * state a previous capped search chose for the same curve and cap
-     * at an ambient no hotter than @p ambient (feasibility regions
-     * only shrink as ambient rises). The scheduler's downstream-
-     * penalty prediction uses this to prune its per-candidate P-state
-     * searches down from each downstream socket's current state.
-     */
-    DvfsDecision chooseAtAmbientFrom(const FreqCurve &curve,
-                                     const LeakageModel &leak,
-                                     Celsius ambient,
-                                     const HeatSink &sink,
-                                     std::size_t max_pstate,
-                                     std::size_t start_pstate) const;
-
-    /**
-     * Exactly the per-state feasibility test searchDownFrom applies:
+     * Exactly the per-state feasibility test every search applies:
      * two-pass leakage-compensated peak at @p ambient for P-state
      * @p pstate, compared against the junction limit. The test is
      * monotone in ambient — Eq. (1) is affine in ambient with unit
@@ -147,56 +128,6 @@ class PowerManager
                                         double *max_feas_c,
                                         double *min_infeas_c) const;
 
-    /**
-     * Pick the highest P-state whose *instantaneous* peak stays under
-     * the limit given the current ambient and the current heatsink
-     * thermal rise @p sink_rise (the slow 30 s state):
-     *
-     *   T = T_amb + sinkRise + P * R_int + theta(P, sink)
-     *
-     * This is the responsive per-epoch governor: a cold sink grants
-     * boost, and the socket throttles as the sink soaks toward
-     * P * R_ext.
-     */
-    DvfsDecision chooseWithSinkState(const FreqCurve &curve,
-                                     const LeakageModel &leak,
-                                     Celsius ambient,
-                                     CelsiusDelta sink_rise,
-                                     const HeatSink &sink) const;
-
-    /**
-     * The simulator's per-epoch governor: like chooseWithSinkState,
-     * but the ambient is decomposed into the upstream part
-     * @p entry plus the self-recirculation kappa * P, which depends
-     * on the candidate power and is therefore resolved inside the
-     * P-state search:
-     *
-     *   T(P) = entry + kappa * P + sinkRise + P * R_int + theta(P)
-     */
-    DvfsDecision chooseResponsive(const FreqCurve &curve,
-                                  const LeakageModel &leak,
-                                  Celsius entry,
-                                  KelvinPerWatt kappa_local,
-                                  CelsiusDelta sink_rise,
-                                  const HeatSink &sink) const;
-
-    /**
-     * Pick the highest feasible P-state for the *steady state* a job
-     * would reach on a socket whose air entry temperature is
-     * @p entry, accounting for the local-recirculation ambient rise
-     * kappa * P. This is the prediction the Predictive and
-     * CouplingPredictor schedulers use (Sec. IV-C: estimate
-     * temperature, compensate leakage, re-estimate).
-     */
-    DvfsDecision chooseSteady(const FreqCurve &curve,
-                              const LeakageModel &leak, Celsius entry,
-                              KelvinPerWatt kappa_local,
-                              const HeatSink &sink) const;
-
-    /** Total power at state @p i for chip temperature @p chip. */
-    Watts totalPower(const FreqCurve &curve, const LeakageModel &leak,
-                     std::size_t i, Celsius chip) const;
-
     /** Dynamic (leakage-free) power at state @p i. */
     Watts dynamicPower(const FreqCurve &curve,
                        const LeakageModel &leak, std::size_t i) const;
@@ -205,7 +136,6 @@ class PowerManager
     Watts gatedPower(const LeakageModel &leak) const;
 
     const PStateTable &pstates() const { return table_; }
-    Celsius temperatureLimit() const { return Celsius(tLimitC_); }
     const SimplePeakModel &peakModel() const { return peak_; }
 
     /**
@@ -219,13 +149,35 @@ class PowerManager
   private:
     void checkCurve(const FreqCurve &curve) const;
 
-    /** Shared descending feasibility scan from state @p first down. */
-    DvfsDecision searchDownFrom(const FreqCurve &curve,
-                                const LeakageModel &leak,
-                                Celsius ambient, const HeatSink &sink,
-                                std::size_t first) const;
+    /** Predicted socket power and peak chip temperature of one state. */
+    struct StateEval
+    {
+        double power; //!< W, leakage at the first-pass temperature.
+        double peak;  //!< C, second-pass Eq. (1) peak.
+    };
 
-    /** One per choose* call — a full (possibly capped) state search. */
+    /**
+     * The paper's two-pass leakage compensation for P-state @p idx:
+     * estimate the peak at the 90 C-characterized power, correct
+     * leakage for that temperature, and re-estimate.
+     */
+    StateEval evalState(const FreqCurve &curve, const LeakageModel &leak,
+                        Celsius ambient, const HeatSink &sink,
+                        std::size_t idx) const;
+
+    /**
+     * The one descending feasibility search: the highest state at or
+     * below @p first whose peak meets the limit, else the slowest.
+     * With a ladder (@p lo / @p hi non-null, see
+     * chooseAtAmbientBounded) states known infeasible at this ambient
+     * are skipped and every evaluated state tightens its bounds.
+     */
+    DvfsDecision searchDown(const FreqCurve &curve,
+                            const LeakageModel &leak, Celsius ambient,
+                            const HeatSink &sink, std::size_t first,
+                            double *lo, double *hi) const;
+
+    /** One per searchDown — a full (possibly capped) state search. */
     void
     countSearch() const
     {

@@ -70,27 +70,16 @@ CouplingPredictor::pick(const Job &job, const SchedContext &ctx)
     // pass records the span boundaries and the chosen row's
     // candidates are a pointer range into the idle array itself — no
     // copy. The boundary scratch lives in the per-epoch arena (zero
-    // heap in steady state); the owned vector is only a fallback for
-    // hand-built test contexts with no arena.
+    // heap in steady state).
     const auto &idle = *ctx.idle;
-    Arena *arena = ctx.scratch;
-    const Arena::Marker marker =
-        arena != nullptr ? arena->mark() : Arena::Marker{};
-    std::size_t *starts;
-    if (arena != nullptr) {
-        starts = arena->alloc<std::size_t>(idle.size() + 1);
-    } else {
-        startsFallback_.resize(idle.size() + 1);
-        starts = startsFallback_.data();
-    }
+    Arena &arena = *ctx.scratch;
+    const Arena::Marker marker = arena.mark();
+    std::size_t *starts = arena.alloc<std::size_t>(idle.size() + 1);
 
-    const int *row_of = ctx.socketRow;
     std::size_t n_rows = 0;
     int last_row = -1;
     for (std::size_t k = 0; k < idle.size(); ++k) {
-        const int row = row_of != nullptr
-                            ? row_of[idle[k]]
-                            : ctx.topo->rowOf(idle[k]);
+        const int row = ctx.socketRow[idle[k]];
         if (row != last_row) {
             starts[n_rows++] = k;
             last_row = row;
@@ -101,8 +90,7 @@ CouplingPredictor::pick(const Job &job, const SchedContext &ctx)
     const std::size_t best =
         pickWithin(job, ctx, idle.data() + starts[pick_at],
                    starts[pick_at + 1] - starts[pick_at]);
-    if (arena != nullptr)
-        arena->release(marker);
+    arena.release(marker);
     return best;
 }
 

@@ -45,9 +45,6 @@ class CouplingPredictor : public Scheduler
                                bool global_search = false);
 
     const char *name() const override { return "CP"; }
-    DENSIM_ALLOCATES(
-        "arena-miss fallback scratch resized to the idle count; the "
-        "arena fast path allocates nothing")
     std::size_t pick(const Job &job, const SchedContext &ctx) override;
 
     double downstreamWeight() const { return downstreamWeight_; }
@@ -60,9 +57,6 @@ class CouplingPredictor : public Scheduler
 
     double downstreamWeight_;
     bool globalSearch_;
-    // Decision-local buffer used only when the context carries no
-    // arena (hand-built test contexts).
-    std::vector<std::size_t> startsFallback_;
 };
 
 } // namespace densim

@@ -16,7 +16,7 @@ predictPlacement(const SchedContext &ctx, std::size_t socket,
     // job's future temperature is Eq. (1) evaluated at the *current*
     // ambient — exactly the paper's "estimate an initial chip
     // temperature using equation 1" step. Leakage compensation is the
-    // second pass inside chooseAtAmbient.
+    // second pass inside chooseAtAmbientCapped.
     PredictionCache *cache = ctx.cache;
     if (cache != nullptr) {
         const PredictionCache::PlaceEntry &e = cache->place[socket];

@@ -6,8 +6,9 @@
  * Both policies reason about what frequency a job would settle at if
  * placed on a candidate socket. Per Sec. IV-C the prediction uses the
  * simple linear machinery only: entry temperature from the coupling
- * table, Eq. (1) with two-pass leakage compensation (chooseSteady),
- * never the detailed models used to evaluate the research.
+ * table, Eq. (1) with two-pass leakage compensation
+ * (PowerManager::chooseAtAmbientCapped), never the detailed models
+ * used to evaluate the research.
  */
 
 #ifndef DENSIM_SCHED_PREDICTION_HH
@@ -43,11 +44,12 @@ namespace densim {
  * SimMetrics with EXPECT_EQ.
  *
  * When `exactDvfs` is set (no faults armed) the
- * penalty loop additionally prunes each downstream P-state search to
- * start at the socket's current state via `pstate`
- * (PowerManager::chooseAtAmbientFrom): the current state was chosen
- * this epoch at an ambient no hotter than the perturbed one, so every
- * faster state is already known infeasible.
+ * penalty loop additionally starts each downstream P-state walk at
+ * the socket's current state via `pstate`: the current state was
+ * chosen this epoch at an ambient no hotter than the perturbed one,
+ * so every faster state is already known infeasible. The walk reads
+ * and tightens the same feasibility ladder the engine's DVFS search
+ * (PowerManager::chooseAtAmbientBounded) uses.
  */
 struct PredictionCache
 {

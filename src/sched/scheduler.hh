@@ -72,10 +72,9 @@ struct SchedContext
     const std::uint8_t *busy;      //!< Nonzero when busy.
 
     /**
-     * Precomputed topo->rowOf(s) per socket, or null in hand-built
-     * test contexts (policies fall back to querying the topology).
-     * Saves a bounds-checked topology lookup per candidate in the
-     * row-local CP fast path.
+     * Precomputed topo->rowOf(s) per socket; required. Saves a
+     * bounds-checked topology lookup per candidate in the row-local
+     * CP fast path.
      */
     const int *socketRow = nullptr;
 
@@ -83,9 +82,8 @@ struct SchedContext
 
     /**
      * Per-epoch scratch arena for decision-local allocations
-     * (candidate lists, row tallies). Policies must bracket use with
-     * mark()/release(); may be null in hand-built test contexts, in
-     * which case policies fall back to owned buffers.
+     * (candidate lists, row tallies); required. Policies must bracket
+     * use with mark()/release().
      */
     Arena *scratch = nullptr;
 

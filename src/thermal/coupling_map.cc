@@ -229,26 +229,6 @@ CouplingMap::entryTemps(const std::vector<double> &powers_w,
     return temps;
 }
 
-std::vector<double>
-CouplingMap::ambientEntryTemps(const std::vector<double> &powers_w,
-                               Celsius inlet) const
-{
-    if (powers_w.size() != sites_.size())
-        panic("CouplingMap::ambientEntryTemps: ", powers_w.size(),
-              " powers for ", sites_.size(), " sockets");
-    const std::size_t n = sites_.size();
-    std::vector<double> temps(n, inlet.value());
-    for (std::size_t j = 0; j < n; ++j) {
-        const double p = powers_w[j];
-        if (p == 0.0)
-            continue;
-        const double *row = &ambMatrix_[j * n];
-        for (std::size_t i : downstream_[j])
-            temps[i] += row[i] * p;
-    }
-    return temps;
-}
-
 Celsius
 CouplingMap::ambientTemp(std::size_t i,
                          const std::vector<double> &powers_w,

@@ -134,11 +134,6 @@ class CouplingMap
                              const std::vector<double> &powers_w,
                              Celsius inlet) const;
 
-    /** Vector form of ambientEntryTemp for all sockets. */
-    std::vector<double>
-    ambientEntryTemps(const std::vector<double> &powers_w,
-                      Celsius inlet) const;
-
     /**
      * Socket ambient temperatures: inlet + wake-amplified upstream
      * rise + kappaLocal * own power. This is what Eq. (1)'s T_amb

@@ -401,7 +401,7 @@ TEST(CkptFormat, ImageDigestsArePinned)
 {
     // The wire format, byte for byte. A change to any of these
     // digests is a format change and needs a kVersion bump.
-    EXPECT_EQ(ckpt::kVersion, 2u);
+    EXPECT_EQ(ckpt::kVersion, 3u);
 
     std::string plain;
     {
@@ -443,11 +443,11 @@ TEST(CkptFormat, ImageDigestsArePinned)
         fleet_image = ckpt::saveFleet(fleet);
     }
 
-    EXPECT_EQ(hex64(fnv1a64(plain)), "aa39d8dd4642b508")
+    EXPECT_EQ(hex64(fnv1a64(plain)), "d29269ac7c216564")
         << plain.size() << " bytes";
-    EXPECT_EQ(hex64(fnv1a64(faulted)), "88a0b265a9a2346f")
+    EXPECT_EQ(hex64(fnv1a64(faulted)), "65197541549c302a")
         << faulted.size() << " bytes";
-    EXPECT_EQ(hex64(fnv1a64(fleet_image)), "1334e3415c79b42a")
+    EXPECT_EQ(hex64(fnv1a64(fleet_image)), "34709eab0597dd97")
         << fleet_image.size() << " bytes";
 }
 

@@ -408,7 +408,6 @@ TEST(ObsEngine, CountersResetBetweenRunsAndMatchMetrics)
     EXPECT_GT(byName["engine.jobsPlaced"], 0u);
     EXPECT_GT(byName["sched.CP.picks"], 0u);
     EXPECT_GT(byName["power.dvfsSearches"], 0u);
-    EXPECT_GT(byName["dvfs.memoHits"] + byName["dvfs.memoMisses"], 0u);
     (void)m2;
 }
 

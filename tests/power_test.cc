@@ -1,19 +1,25 @@
 /**
  * @file
  * Unit tests for the power substrate: P-state table, leakage model,
- * and the DVFS decisions of the power manager (steady, responsive,
- * capped/boost-dwell variants).
+ * and the DVFS decisions of the power manager (plain, capped/boost-
+ * dwell and ladder-bounded searches).
  */
+
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "power/leakage.hh"
 #include "power/power_manager.hh"
 #include "power/pstate.hh"
+#include "util/rng.hh"
 #include "workload/curves.hh"
 
 namespace densim {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(PState, X2150TableMatchesDatasheet)
 {
@@ -233,38 +239,50 @@ TEST_F(PowerManagerTest, GatedPowerIsTenPercentTdp)
     EXPECT_NEAR(pm_.gatedPower(leak_).value(), 2.2, 1e-9);
 }
 
-TEST_F(PowerManagerTest, SteadyIncludesSelfHeating)
+TEST_F(PowerManagerTest, BoundedSearchMatchesCappedSearch)
 {
-    // chooseSteady accounts for kappa * P self ambient rise, so it
-    // must throttle earlier than chooseAtAmbient at the same entry.
-    const double entry = 40.0;
-    const DvfsDecision plain =
-        pm_.chooseAtAmbient(comp_, leak_, Celsius(entry), HeatSink::fin18());
-    const DvfsDecision steady =
-        pm_.chooseSteady(comp_, leak_, Celsius(entry),
-                         KelvinPerWatt(1.5), HeatSink::fin18());
-    EXPECT_LE(steady.freqMhz, plain.freqMhz);
-}
+    // The ladder may only skip states it has proven infeasible: for
+    // any probe order through one persistent ladder, every decision
+    // field equals the ladder-free search's.
+    const std::size_t boost = PStateTable::x2150().size() - 1;
+    const std::size_t sustained =
+        PStateTable::x2150().highestSustainedIndex();
+    std::vector<double> up, down, shuffled;
+    for (double amb = 15.0; amb <= 95.0; amb += 0.75)
+        up.push_back(amb);
+    down.assign(up.rbegin(), up.rend());
+    Rng rng(2024);
+    for (int k = 0; k < 300; ++k)
+        shuffled.push_back(rng.uniform(15.0, 95.0));
 
-TEST_F(PowerManagerTest, ResponsiveUsesSinkState)
-{
-    // With a cold sink, the responsive governor grants more than the
-    // steady one; with a fully soaked sink they agree.
-    const double entry = 30.0;
-    const KelvinPerWatt kappa(1.5);
-    const DvfsDecision cold = pm_.chooseResponsive(
-        comp_, leak_, Celsius(entry), kappa, CelsiusDelta(0.0),
-        HeatSink::fin18());
-    const DvfsDecision steady = pm_.chooseSteady(
-        comp_, leak_, Celsius(entry), kappa, HeatSink::fin18());
-    EXPECT_GE(cold.freqMhz, steady.freqMhz);
-
-    const CelsiusDelta soaked_rise =
-        steady.power * HeatSink::fin18().rExt;
-    const DvfsDecision soaked = pm_.chooseResponsive(
-        comp_, leak_, Celsius(entry), kappa, soaked_rise,
-        HeatSink::fin18());
-    EXPECT_NEAR(soaked.freqMhz, steady.freqMhz, 200.0 + 1e-9);
+    for (const WorkloadSet set : allWorkloadSets()) {
+        const FreqCurve &curve = freqCurveFor(set);
+        for (const HeatSink &sink : {HeatSink::fin18(), HeatSink::fin30()}) {
+            for (const std::size_t cap : {boost, sustained}) {
+                std::vector<double> lo(boost + 1, -kInf);
+                std::vector<double> hi(boost + 1, kInf);
+                for (const auto *order : {&up, &down, &shuffled}) {
+                    for (const double amb : *order) {
+                        const DvfsDecision ref = pm_.chooseAtAmbientCapped(
+                            curve, leak_, Celsius(amb), sink, cap);
+                        const DvfsDecision got = pm_.chooseAtAmbientBounded(
+                            curve, leak_, Celsius(amb), sink, cap,
+                            lo.data(), hi.data());
+                        EXPECT_EQ(got.pstate, ref.pstate) << amb;
+                        EXPECT_EQ(got.freqMhz, ref.freqMhz) << amb;
+                        EXPECT_EQ(got.power.value(), ref.power.value())
+                            << amb;
+                        EXPECT_EQ(got.predictedPeak.value(),
+                                  ref.predictedPeak.value())
+                            << amb;
+                        EXPECT_EQ(got.feasible, ref.feasible) << amb;
+                    }
+                }
+                for (std::size_t i = 0; i <= boost; ++i)
+                    EXPECT_LT(lo[i], hi[i]) << "state " << i;
+            }
+        }
+    }
 }
 
 TEST_F(PowerManagerTest, StorageNeverThrottlesAtModerateAmbient)

@@ -17,6 +17,7 @@
 #include "sched/factory.hh"
 #include "server/sut.hh"
 #include "thermal/rc_network.hh"
+#include "util/arena.hh"
 #include "util/rng.hh"
 #include "workload/curves.hh"
 
@@ -185,6 +186,10 @@ TEST(PolicyFuzz, AllPoliciesValidOnRandomStates)
                           Celsius(95.0), 0.10);
     Rng rng(99);
     const std::size_t n = topo.numSockets();
+    std::vector<int> rows(n);
+    for (std::size_t s = 0; s < n; ++s)
+        rows[s] = topo.rowOf(s);
+    Arena arena(64 * 1024);
 
     for (const std::string &name : allSchedulerNames()) {
         auto policy = makeScheduler(name);
@@ -227,7 +232,9 @@ TEST(PolicyFuzz, AllPoliciesValidOnRandomStates)
             ctx.freqMhz = freq.data();
             ctx.runningSet = sets.data();
             ctx.busy = busy.data();
+            ctx.socketRow = rows.data();
             ctx.rng = &rng;
+            ctx.scratch = &arena;
 
             Job job{0, 0, WorkloadSet::Computation, 0.0,
                     rng.uniform(1e-3, 50e-3)};

@@ -16,6 +16,7 @@
 #include "sched/prediction.hh"
 #include "server/sut.hh"
 #include "thermal/simple_peak_model.hh"
+#include "util/arena.hh"
 #include "workload/curves.hh"
 
 namespace densim {
@@ -41,6 +42,9 @@ class SchedFixture : public ::testing::Test
         freq_.assign(n, 0.0);
         set_.assign(n, WorkloadSet::Computation);
         busy_.assign(n, false);
+        rows_.resize(n);
+        for (std::size_t s = 0; s < n; ++s)
+            rows_[s] = topo_.rowOf(s);
         allIdle();
     }
 
@@ -84,7 +88,9 @@ class SchedFixture : public ::testing::Test
         ctx.freqMhz = freq_.data();
         ctx.runningSet = set_.data();
         ctx.busy = busy_.data();
+        ctx.socketRow = rows_.data();
         ctx.rng = &rng_;
+        ctx.scratch = &arena_;
         return ctx;
     }
 
@@ -108,6 +114,8 @@ class SchedFixture : public ::testing::Test
     std::vector<double> chip_, hist_, ambient_, credit_, power_, freq_;
     std::vector<WorkloadSet> set_;
     std::vector<std::uint8_t> busy_;
+    std::vector<int> rows_;
+    Arena arena_{64 * 1024};
 };
 
 TEST_F(SchedFixture, FactoryKnowsAllPaperNames)
