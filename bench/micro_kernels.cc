@@ -228,7 +228,7 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
     for (std::size_t i = 0; i < table.size(); ++i)
         cache.stateFreqMhz[i] = table.at(i).freqMhz;
     cache.pstate = pstates.data();
-    cache.exactDvfs = true;
+    cache.walkFromCurrent = true;
     // Busy sockets start with no fast-path snapshot (the engine only
     // installs one at setSocketRate), so force the slow path there.
     for (std::size_t s = 0; s < n; ++s)

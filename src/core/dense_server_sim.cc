@@ -146,6 +146,7 @@ DenseServerSim::registerObs()
     gaugeMaxChipC_ =
         obsRegistry_.typedGauge<Celsius>("engine.maxChipTempC", "C");
     pm_.attachObs(obsRegistry_);
+    predCache_.attachObs(obsRegistry_);
     policy_->attachObs(obsRegistry_);
     sampler_.configure(config_.timelineSampleS);
 
@@ -255,7 +256,7 @@ DenseServerSim::resetState()
     for (std::size_t i = 0; i < pm_.pstates().size(); ++i)
         predCache_.stateFreqMhz[i] = pm_.pstates().at(i).freqMhz;
     predCache_.pstate = pstate_.data();
-    predCache_.exactDvfs = !faultsEnabled_;
+    predCache_.walkFromCurrent = !faultsEnabled_;
 
     queue_.clear();
     metrics_ = SimMetrics{};
@@ -552,15 +553,25 @@ DenseServerSim::thermalStep(double dt)
     const bool measure = tCursor_ >= config_.warmupS;
 
     // Boost-dwell accounting: drain while boosting, refill otherwise
-    // (busy-sustained or idle).
+    // (busy-sustained or idle). Under faults the downstream-penalty
+    // snapshot is keyed on the penalty cap, so a busy socket whose
+    // credit crosses zero voids it until powerManage refreshes it:
+    // the fault responses may pick first. Without faults it is keyed
+    // on the current state, which only setSocketRate moves.
     const double refill = config_.boostRefillRate * dt;
+    const bool cap_keyed = !predCache_.walkFromCurrent;
     for (std::size_t s = 0; s < n; ++s) {
+        const bool had_credit = boostCreditS_[s] > 0.0;
         if (busyFlag_[s] && boostFlag_[s]) {
             boostCreditS_[s] = std::max(0.0, boostCreditS_[s] - dt);
         } else {
             boostCreditS_[s] = std::min(config_.boostBurstS,
                                         boostCreditS_[s] + refill);
         }
+        if (cap_keyed && busyFlag_[s] &&
+            had_credit != (boostCreditS_[s] > 0.0))
+            predCache_.fastFeasC[s] =
+                -std::numeric_limits<double>::infinity();
     }
 
     // Bank 1: socket ambient toward the coupling-map field (tau 30 s,
@@ -787,23 +798,28 @@ DenseServerSim::setSocketRate(std::size_t socket, std::size_t new_pstate,
         completionHeap_.upsert(socket, completionS_[socket]);
     // Refresh the downstream-penalty fast path (prediction.hh): the
     // socket's rate just changed, so recompute the known-feasible
-    // ambient for its (possibly new) P-state and its penalty slope.
-    // Only meaningful when pruned predictions are exact.
-    if (predCache_.exactDvfs) {
-        predCache_.touchLadder(socket, runningSet_[socket]);
-        const double mpc = predCache_.feasMhzPerC[socket];
-        const bool sub_fastest =
-            freqMhz_[socket] < fastestMhz_ - 1e-9;
-        if (sub_fastest && mpc <= 0.0) {
-            // Penalty slope not learned yet: force the slow path
-            // until a probe computes mhzPerCelsius for this socket.
-            predCache_.fastFeasC[socket] =
-                -std::numeric_limits<double>::infinity();
-        } else {
-            predCache_.fastFeasC[socket] =
-                predCache_.ladderLo(socket)[new_pstate];
-            predCache_.fastSlope[socket] = sub_fastest ? mpc : 0.0;
-        }
+    // ambient of the snapshot's state — the current one when the
+    // penalty walk may start there, else the penalty's cap — and its
+    // penalty slope. Every caller chooses at or below dvfsCap, never
+    // above the credit cap, so the socket cannot run faster than the
+    // snapshot's state (its charge would then be a discrete loss,
+    // not a slope).
+    const std::size_t top = predCache_.walkFromCurrent
+                                ? new_pstate
+                                : creditCap(socket);
+    DENSIM_CHECK(new_pstate <= top, "socket ", socket, " runs P-state ",
+                 new_pstate, " above its boost-credit cap ", top);
+    predCache_.touchLadder(socket, runningSet_[socket]);
+    const double mpc = predCache_.feasMhzPerC[socket];
+    const bool sub_fastest = freqByPstate_[top] < fastestMhz_ - 1e-9;
+    if (sub_fastest && mpc <= 0.0) {
+        // Penalty slope not learned yet: force the slow path until a
+        // probe computes mhzPerCelsius for this socket.
+        predCache_.fastFeasC[socket] =
+            -std::numeric_limits<double>::infinity();
+    } else {
+        predCache_.fastFeasC[socket] = predCache_.ladderLo(socket)[top];
+        predCache_.fastSlope[socket] = sub_fastest ? mpc : 0.0;
     }
 }
 
@@ -1319,6 +1335,12 @@ DenseServerSim::dvfsCap(std::size_t socket) const
 {
     if (faultsEnabled_ && faultState_.throttled(socket))
         return 0; // Emergency: pin to the lowest P-state.
+    return creditCap(socket);
+}
+
+std::size_t
+DenseServerSim::creditCap(std::size_t socket) const
+{
     return boostCreditS_[socket] > 0.0 ? boostCap_ : sustainedIdx_;
 }
 

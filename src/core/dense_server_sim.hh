@@ -226,6 +226,9 @@ class DenseServerSim
     double fanFlowFraction(double speed_cap) const;
     /** Boost cap for powerManage/placeJob, honoring the throttle. */
     std::size_t dvfsCap(std::size_t socket) const;
+    /** Cap by boost credit alone (boost or highest sustained) — the
+     *  cap CP's downstream penalty predicts with. */
+    std::size_t creditCap(std::size_t socket) const;
     /** Record (log + trace + counter hook) one fault event.
      *  Cold diagnostic endpoint: the capped log and trace sink never
      *  feed back into the model. */

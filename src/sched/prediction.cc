@@ -1,6 +1,7 @@
 #include "sched/prediction.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "power/pstate.hh"
 #include "workload/curves.hh"
@@ -69,15 +70,22 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
     if (cache != nullptr) {
         const PredictionCache::PenaltyEntry &e =
             cache->penalty[socket];
-        if (e.stamp == cache->epoch && e.extra == extra)
+        if (e.stamp == cache->epoch && e.extra == extra) {
+            if (cache->count.memoHits != nullptr)
+                cache->count.memoHits->inc();
             return e.mhz;
+        }
     }
 
     const auto &table = ctx.pm->pstates();
     const std::size_t boost_cap = table.size() - 1;
     const std::size_t sustained_cap = table.highestSustainedIndex();
     const double fastest_mhz = table.fastest().freqMhz;
-    const bool prune = cache != nullptr && cache->exactDvfs;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    // Per-call tallies, added to the registry once on the way out.
+    std::uint64_t fast_hits = 0;
+    std::uint64_t walks = 0;
+    std::uint64_t probes = 0;
 
     double penalty = 0.0;
     const std::size_t count = ctx.coupling->downstreamCount(socket);
@@ -90,13 +98,15 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
         // the field settles.
         const double dt = coeffs[k] * extra;
         const double amb_new = ctx.ambientC[d] + dt;
-        if (prune && amb_new <= cache->fastFeasC[d]) {
+        if (cache != nullptr && amb_new <= cache->fastFeasC[d]) {
             // Common case: the perturbed ambient stays inside the
-            // socket's known-feasible region, so its P-state (and
-            // frequency) provably survive; the charge reduces to
-            // the precomputed linear slope. Idle sockets sit at
-            // (+inf, 0), passing here with zero charge.
+            // known-feasible region of the snapshot's state, so the
+            // walk would stop there; the charge reduces to the
+            // precomputed linear slope. Idle sockets sit at
+            // (+inf, 0), passing here with zero charge; only busy
+            // sockets' finite snapshots count as fast-path hits.
             penalty += dt * cache->fastSlope[d];
+            fast_hits += cache->fastFeasC[d] < kInf ? 1 : 0;
             continue;
         }
         if (ctx.busy[d] == 0)
@@ -105,24 +115,24 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
         const std::size_t cap =
             ctx.boostCreditS[d] > 0.0 ? boost_cap : sustained_cap;
         double decision_mhz;
-        if (prune) {
-            // The engine guarantees the socket's current P-state was
-            // chosen this epoch at an ambient no hotter than amb_new
-            // with the same cap, so every faster state is already
-            // infeasible and the descending search can start at the
-            // current state. Only the decision *frequency* is needed
-            // here, and frequency is a pure function of the P-state,
-            // so the search reduces to a walk down the cached
-            // feasibility ladder: states known infeasible at amb_new
-            // are skipped, a state known feasible is chosen, and
-            // only probes inside a ladder gap evaluate the thermal
-            // model (tightening the gap for every later probe, in
-            // this epoch or any other).
+        if (cache != nullptr) {
+            // Only the decision *frequency* is needed here, and
+            // frequency is a pure function of the P-state, so the
+            // capped descending search reduces to a walk down the
+            // cached feasibility ladder: states known infeasible at
+            // amb_new are skipped, a state known feasible is chosen,
+            // and only probes inside a ladder gap evaluate the
+            // thermal model (tightening the gap for every later
+            // probe, in this epoch or any other). Without faults the
+            // walk may start at the current state (see
+            // PredictionCache).
+            ++walks;
             cache->touchLadder(d, set);
             double *lo = cache->ladderLo(d);
             double *hi = cache->ladderHi(d);
             const std::size_t start =
-                std::min(cache->pstate[d], cap);
+                cache->walkFromCurrent ? std::min(cache->pstate[d], cap)
+                                       : cap;
             std::size_t chosen = 0;
             for (std::size_t idx = start + 1; idx-- > 0;) {
                 if (idx == 0) {
@@ -135,6 +145,7 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
                     chosen = idx;
                     break;
                 }
+                ++probes;
                 if (ctx.pm->feasibleAt(freqCurveFor(set), *ctx.leak,
                                        Celsius(amb_new),
                                        ctx.topo->sinkOf(d), idx)) {
@@ -164,7 +175,7 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
             // time-averaged expectation so upstream heat always has
             // a price. Sockets still boosting after the added heat
             // have genuine headroom and cost nothing.
-            if (prune) {
+            if (cache != nullptr) {
                 if (cache->feasMhzPerC[d] <= 0.0)
                     cache->feasMhzPerC[d] = mhzPerCelsius(
                         ctx, set, ctx.topo->sinkOf(d));
@@ -175,9 +186,16 @@ downstreamPenaltyMhz(const SchedContext &ctx, std::size_t socket,
             }
         }
     }
-    if (cache != nullptr)
+    if (cache != nullptr) {
         cache->penalty[socket] =
             PredictionCache::PenaltyEntry{cache->epoch, extra, penalty};
+        const PredictionCache::Counters &c = cache->count;
+        if (c.fastHits != nullptr) {
+            c.fastHits->inc(fast_hits);
+            c.walks->inc(walks);
+            c.ladderProbes->inc(probes);
+        }
+    }
     return penalty;
 }
 

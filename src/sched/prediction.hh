@@ -18,6 +18,7 @@
 #include <limits>
 #include <vector>
 
+#include "obs/registry.hh"
 #include "sched/scheduler.hh"
 
 namespace densim {
@@ -43,12 +44,24 @@ namespace densim {
  * schedPredictionCache knob off (ctx.cache == nullptr) and comparing
  * SimMetrics with EXPECT_EQ.
  *
- * When `exactDvfs` is set (no faults armed) the
- * penalty loop additionally starts each downstream P-state walk at
- * the socket's current state via `pstate`: the current state was
- * chosen this epoch at an ambient no hotter than the perturbed one,
- * so every faster state is already known infeasible. The walk reads
- * and tightens the same feasibility ladder the engine's DVFS search
+ * Whenever the cache is present, the penalty loop resolves each busy
+ * downstream socket's re-predicted frequency by walking the
+ * feasibility ladder below, never by a full DVFS search. The walk
+ * starts at the penalty's own cap (boost while the socket holds
+ * boost credit, else the highest sustained state) — a descending
+ * search over the same monotone feasibility test, so it is exactly
+ * chooseAtAmbientCapped's answer. When `walkFromCurrent` is set (no
+ * faults armed) it starts lower, at min(current P-state, cap): the
+ * current state was then chosen this epoch under the same cap at an
+ * ambient no hotter than the perturbed one, so every faster state is
+ * already known infeasible. With faults armed that argument fails —
+ * the engine's DVFS input is the (possibly faulted) sensed ambient
+ * and an emergency throttle pins its cap — so the walk starts at the
+ * cap. Starting at the cap would be exact without faults too, but a
+ * thermally limited socket runs below its cap, so a snapshot keyed
+ * on the cap misses where one keyed on the current state hits; the
+ * current-state start is kept for that. The walk reads and tightens
+ * the same ladder the engine's DVFS search
  * (PowerManager::chooseAtAmbientBounded) uses.
  */
 struct PredictionCache
@@ -104,29 +117,67 @@ struct PredictionCache
 
     /**
      * Engine-maintained per-socket fast path for the penalty loop's
-     * common case. `fastFeasC[s]` is the hottest ambient at which
-     * socket s's *current* P-state is known feasible (the ladder's
-     * low bound at the state chosen by the last setSocketRate), and
-     * `fastSlope[s]` the penalty charged per degree of ambient rise
-     * there (mhzPerCelsius when below the fastest state, 0 when
-     * boosting). A probe at or below `fastFeasC[s]` provably keeps
-     * the state, so its penalty is `dt * fastSlope[s]` with no
-     * ladder walk at all — the exact value the walk would produce.
-     * Idle sockets hold (+inf, 0): any probe passes, charging
-     * nothing, which also subsumes the busy check. Sockets whose
-     * penalty slope is not learned yet hold -inf, forcing the slow
-     * path until a probe computes it. Refreshed on every rate change
-     * (setSocketRate) and on job clear; the ladder's low bound can
-     * only rise in between, so a stale snapshot is conservative,
-     * never wrong.
+     * common case. The snapshot is taken at one P-state k of socket
+     * s — its current state when `walkFromCurrent` holds, else the
+     * penalty's cap (boost or sustained by boost credit), the state
+     * the walk starts from. `fastFeasC[s]` is the ladder's low bound
+     * at k: the hottest ambient at which k is known feasible, so a
+     * probe at or below it provably resolves to state k.
+     * `fastSlope[s]` is the penalty then charged per degree of
+     * ambient rise (mhzPerCelsius when k is below the fastest state,
+     * 0 when k is the fastest), so the penalty is `dt * fastSlope[s]`
+     * with no ladder walk at all — the exact value the walk would
+     * produce. Idle sockets hold (+inf, 0): any probe passes,
+     * charging nothing, which also subsumes the busy check. A busy
+     * socket holds -inf (forcing the walk) while its penalty slope
+     * is not learned yet. A busy socket never runs faster than k
+     * (the engine chooses at or below its cap), so the fast path
+     * never owes a discrete loss.
+     *
+     * Refreshed on every rate change (setSocketRate) and on job
+     * clear. The ladder's low bound only rises in between, so a
+     * stale snapshot is conservative, never wrong. What can move k
+     * itself under faults is a boost-credit crossing, which happens
+     * only in thermalStep; the engine voids a cap-keyed snapshot
+     * there (-inf) and powerManage refreshes every busy socket
+     * before the epoch's regular picks.
      */
     std::vector<double> fastFeasC;
     std::vector<double> fastSlope;
 
-    /** Engine's live per-socket P-state array (for pruned searches). */
+    /** Engine's live per-socket P-state array (walk start). */
     const std::size_t *pstate = nullptr;
-    /** True when pruned downstream searches are provably exact. */
-    bool exactDvfs = false;
+    /**
+     * True when the ladder walk (and the fast-path snapshot) may
+     * start at the socket's current P-state rather than at the
+     * penalty's cap; the engine sets it when no fault is armed.
+     */
+    bool walkFromCurrent = false;
+
+    /**
+     * Fast-path instruments (null = no accounting): penalty memo
+     * hits, busy downstream probes resolved by the snapshot, ladder
+     * walks (the busy probes it did not resolve), and feasibleAt
+     * evaluations inside those walks. downstreamPenaltyMhz tallies
+     * each call in locals and adds them here once per call.
+     */
+    struct Counters
+    {
+        obs::Counter *memoHits = nullptr;
+        obs::Counter *fastHits = nullptr;
+        obs::Counter *walks = nullptr;
+        obs::Counter *ladderProbes = nullptr;
+    };
+    Counters count;
+
+    /** Register the fast-path instruments ("sched.penalty..."). */
+    void attachObs(obs::Registry &registry)
+    {
+        count.memoHits = &registry.counter("sched.penaltyMemoHits");
+        count.fastHits = &registry.counter("sched.penaltyFastHits");
+        count.walks = &registry.counter("sched.penaltyWalks");
+        count.ladderProbes = &registry.counter("sched.ladderProbes");
+    }
 
     /** Size for @p n sockets / @p n_pstates states; drop everything. */
     void reset(std::size_t n, std::size_t n_pstates)

@@ -38,6 +38,8 @@
 #include "util/rng.hh"
 #include "workload/job_generator.hh"
 
+#include "test_util.hh"
+
 namespace densim {
 namespace {
 
@@ -228,6 +230,51 @@ TEST(BitIdentity, MigrationRunResumesExactly)
               serializeSimMetrics(resumed));
 }
 
+TEST(BitIdentity, FastPathCountersResumeExactly)
+{
+    // The CP penalty counters are tallied per call and live in the
+    // obs section: a faulted, migrating run resumed mid-flight must
+    // end with the very counter table of the uninterrupted run.
+    SimConfig config = fastConfig();
+    config.fault.fanFailS = 0.15;
+    config.fault.fanSpeedFrac = 0.3;
+    config.fault.socketFailCount = 2;
+    config.fault.socketFailS = 0.2;
+    config.fault.sensorNoisyAtS = 0.1;
+    config.migrationEnabled = true;
+    config.migrationIntervalS = 0.05;
+    config.migrationMinRemainingS = 0.01;
+
+    DenseServerSim straight(config, makeScheduler("CP"));
+    (void)straight.run();
+
+    std::string image;
+    {
+        DenseServerSim sim(config, makeScheduler("CP"));
+        ckpt::beginEngineRun(sim);
+        while (sim.epochPending() && sim.nowS() < 0.3)
+            sim.advanceEpoch();
+        image = ckpt::saveEngine(sim);
+    }
+    DenseServerSim resumed(config, makeScheduler("CP"));
+    ckpt::restoreEngine(resumed, image);
+    while (resumed.epochPending())
+        resumed.advanceEpoch();
+    (void)resumed.finishRun();
+
+    const auto expected = straight.observability().counters();
+    const auto got = resumed.observability().counters();
+    ASSERT_EQ(expected.size(), got.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(expected[i].name, got[i].name);
+        EXPECT_EQ(expected[i].value, got[i].value) << expected[i].name;
+    }
+    for (const char *name :
+         {"sched.penaltyMemoHits", "sched.penaltyFastHits",
+          "sched.penaltyWalks", "sched.ladderProbes"})
+        EXPECT_GT(test::counterValue(straight, name), 0u) << name;
+}
+
 TEST(BitIdentity, JsonlSinksAreByteIdentical)
 {
     // The restored run must append exactly the rows the uninterrupted
@@ -370,16 +417,6 @@ sectionPayload(const std::vector<Section> &sections, std::uint32_t id)
     return empty;
 }
 
-std::uint64_t
-counterValue(const obs::Registry &registry, const std::string &name)
-{
-    for (const auto &c : registry.counters())
-        if (c.name == name)
-            return c.value;
-    ADD_FAILURE() << "counter '" << name << "' not registered";
-    return 0;
-}
-
 /** Fan derate, socket failures and migrations, all live at t=0.3. */
 SimConfig
 faultedMigratingConfig()
@@ -401,7 +438,7 @@ TEST(CkptFormat, ImageDigestsArePinned)
 {
     // The wire format, byte for byte. A change to any of these
     // digests is a format change and needs a kVersion bump.
-    EXPECT_EQ(ckpt::kVersion, 3u);
+    EXPECT_EQ(ckpt::kVersion, 4u);
 
     std::string plain;
     {
@@ -418,8 +455,7 @@ TEST(CkptFormat, ImageDigestsArePinned)
         ckpt::beginEngineRun(sim);
         while (sim.epochPending() && sim.nowS() < 0.3)
             sim.advanceEpoch();
-        EXPECT_GT(counterValue(sim.observability(), "engine.migrations"),
-                  0u);
+        EXPECT_GT(test::counterValue(sim, "engine.migrations"), 0u);
         faulted = ckpt::saveEngine(sim);
     }
     // The fan derate is live at the save: flowFrac, the fault
@@ -443,11 +479,11 @@ TEST(CkptFormat, ImageDigestsArePinned)
         fleet_image = ckpt::saveFleet(fleet);
     }
 
-    EXPECT_EQ(hex64(fnv1a64(plain)), "d29269ac7c216564")
+    EXPECT_EQ(hex64(fnv1a64(plain)), "66d46fbbb84402ad")
         << plain.size() << " bytes";
-    EXPECT_EQ(hex64(fnv1a64(faulted)), "65197541549c302a")
+    EXPECT_EQ(hex64(fnv1a64(faulted)), "13c39c43dd1be052")
         << faulted.size() << " bytes";
-    EXPECT_EQ(hex64(fnv1a64(fleet_image)), "34709eab0597dd97")
+    EXPECT_EQ(hex64(fnv1a64(fleet_image)), "25e797a74dafdf6b")
         << fleet_image.size() << " bytes";
 }
 

@@ -31,6 +31,8 @@
 #include "sched/factory.hh"
 #include "util/logging.hh"
 
+#include "test_util.hh"
+
 namespace densim {
 namespace {
 
@@ -64,53 +66,8 @@ runWith(const SimConfig &config, const std::string &scheduler = "CF")
     return sim.run();
 }
 
-std::uint64_t
-counterValue(const DenseServerSim &sim, const std::string &name)
-{
-    for (const auto &c : sim.observability().counters()) {
-        if (c.name == name)
-            return c.value;
-    }
-    ADD_FAILURE() << "counter '" << name << "' not registered";
-    return 0;
-}
-
-void
-expectRegionIdentical(const RegionMetrics &a, const RegionMetrics &b)
-{
-    EXPECT_EQ(a.busyTimeS, b.busyTimeS);
-    EXPECT_EQ(a.freqTime, b.freqTime);
-    EXPECT_EQ(a.workDone, b.workDone);
-}
-
-/** Bit-exact equality of every metrics field (no tolerances). */
-void
-expectMetricsIdentical(const SimMetrics &a, const SimMetrics &b)
-{
-    EXPECT_EQ(a.jobsArrived, b.jobsArrived);
-    EXPECT_EQ(a.jobsCompleted, b.jobsCompleted);
-    EXPECT_EQ(a.jobsUnfinished, b.jobsUnfinished);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.runtimeExpansion.count(), b.runtimeExpansion.count());
-    EXPECT_EQ(a.runtimeExpansion.mean(), b.runtimeExpansion.mean());
-    EXPECT_EQ(a.serviceExpansion.mean(), b.serviceExpansion.mean());
-    EXPECT_EQ(a.queueDelayS.mean(), b.queueDelayS.mean());
-    EXPECT_EQ(a.energyJ, b.energyJ);
-    EXPECT_EQ(a.measuredS, b.measuredS);
-    EXPECT_EQ(a.makespanS, b.makespanS);
-    EXPECT_EQ(a.totalWork, b.totalWork);
-    EXPECT_EQ(a.totalBusyTime, b.totalBusyTime);
-    EXPECT_EQ(a.totalFreqTime, b.totalFreqTime);
-    EXPECT_EQ(a.maxChipTempC, b.maxChipTempC);
-    EXPECT_EQ(a.boostTimeS, b.boostTimeS);
-    EXPECT_EQ(a.chipTempC.count(), b.chipTempC.count());
-    EXPECT_EQ(a.chipTempC.mean(), b.chipTempC.mean());
-    expectRegionIdentical(a.front, b.front);
-    expectRegionIdentical(a.back, b.back);
-    expectRegionIdentical(a.even, b.even);
-    EXPECT_EQ(a.timelineS, b.timelineS);
-    EXPECT_EQ(a.zoneAmbientC, b.zoneAmbientC);
-}
+using test::counterValue;
+using test::expectMetricsIdentical;
 
 // ------------------------------------------------- timeline
 

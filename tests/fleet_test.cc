@@ -151,6 +151,36 @@ TEST(FleetSim, RoundRobinDispatcherAlsoBitIdentical)
     EXPECT_EQ(oneWorker, threeWorkers);
 }
 
+TEST(FleetSim, CountersBitIdenticalAcrossWorkerCounts)
+{
+    // Every shard tallies its own counters (the CP penalty fast-path
+    // counts included, here with faults armed), so the merged table
+    // must not depend on the worker count either.
+    SimConfig config = fleetConfig(4);
+    config.fault.fanFailS = 0.2;
+    config.fault.fanSpeedFrac = 0.3;
+    config.fault.socketFailCount = 2;
+    config.fault.socketFailS = 0.2;
+
+    FleetSim serial(config, "CP");
+    (void)serial.run(1);
+    FleetSim parallel3(config, "CP");
+    (void)parallel3.run(3);
+
+    const auto one = serial.observability().counters();
+    const auto three = parallel3.observability().counters();
+    ASSERT_EQ(one.size(), three.size());
+    std::uint64_t fast_hits = 0;
+    for (std::size_t i = 0; i < one.size(); ++i) {
+        EXPECT_EQ(one[i].name, three[i].name);
+        EXPECT_EQ(one[i].value, three[i].value) << one[i].name;
+        if (one[i].name.find("/sched.penaltyFastHits") !=
+            std::string::npos)
+            fast_hits += one[i].value;
+    }
+    EXPECT_GT(fast_hits, 0u);
+}
+
 TEST(FleetSim, EveryArrivalIsDispatchedAndAccounted)
 {
     FleetSim fleet(fleetConfig(4), "CP");

@@ -2,18 +2,25 @@
  * @file
  * Differential tests for the incremental engine hot paths: the
  * event-heap completion queue, the delta-maintained ambient-target
- * field, and the DVFS memo must leave simulation results equivalent
- * to the recompute-from-scratch reference paths.
+ * field, and CP's cached downstream-penalty paths must leave
+ * simulation results equivalent to the recompute-from-scratch
+ * reference paths.
  */
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/dense_server_sim.hh"
 #include "core/event_heap.hh"
+#include "sched/coupling_predictor.hh"
 #include "sched/factory.hh"
+#include "sched/prediction.hh"
+
+#include "test_util.hh"
 
 namespace densim {
 namespace {
@@ -317,7 +324,7 @@ TEST(PerfEquivalence, PredictionCacheIsBitIdentical)
     // ladder, and the fast-path snapshot) returns cached values
     // verbatim, so disabling it must change nothing at all —
     // EXPECT_EQ on doubles, including with faults armed (where the
-    // exact-DVFS prune turns itself off) and with migration on.
+    // ladder walk starts at the penalty's cap) and with migration on.
     for (const GoldenRow &g : kGoldens) {
         if (std::string(g.name).rfind("CP", 0) != 0)
             continue; // Only CP exercises the penalty paths.
@@ -390,6 +397,139 @@ TEST(PerfEquivalence, BusySumSkipIsBitIdentical)
         EXPECT_EQ(ma.back.workDone, mb.back.workDone);
         EXPECT_EQ(ma.even.workDone, mb.even.workDone);
     }
+}
+
+using test::counterValue;
+
+TEST(PerfEquivalence, PenaltyFastPathsStayExactUnderHeavyFaults)
+{
+    // With faults armed the penalty loop still walks the feasibility
+    // ladder (from the penalty's cap, not the current state) and
+    // still takes the fast-path snapshot keyed on that cap. Both must
+    // match the full-search reference bit for bit while every fault
+    // response fires: a deep fan derate, socket failures, stuck,
+    // noisy and dropped-out sensors, and an escalation ladder set to
+    // trip at the limit itself, so throttles and quarantines (and the
+    // placements they trigger before powerManage) are frequent.
+    for (const std::uint64_t seed : {1u, 7u}) {
+        SCOPED_TRACE(seed);
+        SimConfig cached;
+        cached.simTimeS = 3.0;
+        cached.warmupS = 0.5;
+        cached.load = 0.7;
+        cached.seed = seed;
+        cached.timelineSampleS = 0.25;
+        cached.migrationEnabled = true;
+        cached.fault.fanFailS = 0.6;
+        cached.fault.fanSpeedFrac = 0.2;
+        cached.fault.fanRecoverS = 2.4;
+        cached.fault.socketFailCount = 8;
+        cached.fault.socketFailS = 0.8;
+        cached.fault.socketRecoverS = 2.0;
+        cached.fault.sensorStuckCount = 6;
+        cached.fault.sensorStuckAtS = 0.4;
+        cached.fault.sensorNoisyCount = 6;
+        cached.fault.sensorNoisyAtS = 0.4;
+        cached.fault.sensorDropoutCount = 6;
+        cached.fault.sensorDropoutAtS = 0.4;
+        cached.fault.emergencyMarginC = 0.0;
+        cached.fault.emergencySustainS = 0.001;
+        SimConfig reference = cached;
+        reference.schedPredictionCache = false;
+
+        DenseServerSim a(cached, makeScheduler("CP"));
+        DenseServerSim b(reference, makeScheduler("CP"));
+        const SimMetrics ma = a.run();
+        const SimMetrics mb = b.run();
+        test::expectMetricsIdentical(ma, mb);
+
+        EXPECT_GT(counterValue(a, "fault.emergencyThrottles"), 0u);
+        EXPECT_GT(counterValue(a, "fault.quarantines"), 0u);
+        EXPECT_GT(counterValue(a, "fault.dropoutFallbacks"), 0u);
+        EXPECT_GT(counterValue(a, "sched.penaltyFastHits"), 0u);
+        EXPECT_GT(counterValue(a, "sched.penaltyWalks"), 0u);
+        EXPECT_GT(ma.migrations, 0u);
+        // The reference path has no cache, so it never counts.
+        EXPECT_EQ(counterValue(b, "sched.penaltyFastHits"), 0u);
+    }
+}
+
+/**
+ * CP with an oracle in front: at every pick it scores each idle
+ * candidate's downstream penalty twice, through the engine's cache
+ * (memo, snapshot, ladder walk) and through the cache-free reference
+ * search, and counts the picks where any pair differs. The cached
+ * calls only fill the memo and tighten the ladder, both exact, so CP
+ * then picks as it would have.
+ */
+class PenaltyOracle : public Scheduler
+{
+  public:
+    const char *name() const override { return "CP"; }
+
+    std::size_t
+    pick(const Job &job, const SchedContext &ctx) override
+    {
+        SchedContext reference = ctx;
+        reference.cache = nullptr;
+        bool agree = true;
+        for (const std::size_t s : *ctx.idle) {
+            const Watts power =
+                predictPlacement(reference, s, job.set).power;
+            agree = agree && downstreamPenaltyMhz(ctx, s, power) ==
+                                 downstreamPenaltyMhz(reference, s,
+                                                      power);
+        }
+        ++checkedPicks;
+        mismatchedPicks += agree ? 0 : 1;
+        return cp_.pick(job, ctx);
+    }
+
+    std::size_t checkedPicks = 0;
+    std::size_t mismatchedPicks = 0;
+
+  private:
+    CouplingPredictor cp_;
+};
+
+TEST(PerfEquivalence, PenaltyMatchesReferenceAtEveryFaultedPick)
+{
+    // A saturated chassis with a fast quarantine cycle: readmitted
+    // sockets take queued jobs inside the fault response, after
+    // thermalStep has moved boost credit but before powerManage has
+    // refreshed the snapshots — the window where a snapshot keyed on
+    // a stale cap would charge the wrong penalty.
+    SimConfig config;
+    config.simTimeS = 3.0;
+    config.warmupS = 0.5;
+    config.load = 1.0;
+    config.seed = 1;
+    config.migrationEnabled = true;
+    config.fault.fanFailS = 0.6;
+    config.fault.fanSpeedFrac = 0.5;
+    config.fault.fanRecoverS = 2.4;
+    config.fault.socketFailCount = 8;
+    config.fault.socketFailS = 0.8;
+    config.fault.socketRecoverS = 2.0;
+    config.fault.sensorStuckCount = 6;
+    config.fault.sensorStuckAtS = 0.4;
+    config.fault.sensorNoisyCount = 6;
+    config.fault.sensorNoisyAtS = 0.4;
+    config.fault.sensorDropoutCount = 6;
+    config.fault.sensorDropoutAtS = 0.4;
+    config.fault.emergencyMarginC = 0.0;
+    config.fault.emergencySustainS = 0.001;
+    config.fault.quarantineSustainS = 0.01;
+    config.fault.quarantineExitC = 88.0;
+
+    auto oracle = std::make_unique<PenaltyOracle>();
+    const PenaltyOracle &view = *oracle;
+    DenseServerSim sim(config, std::move(oracle));
+    (void)sim.run();
+    EXPECT_GT(counterValue(sim, "fault.quarantineExits"), 0u);
+    EXPECT_GT(counterValue(sim, "sched.penaltyFastHits"), 0u);
+    EXPECT_GT(view.checkedPicks, 0u);
+    EXPECT_EQ(view.mismatchedPicks, 0u);
 }
 
 // ------------------------------------------------------- event heap

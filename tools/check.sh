@@ -41,6 +41,11 @@
 #             misuse guards), then a CLI smoke: SIGTERM a checkpointed
 #             run mid-flight, resume it, and byte-compare the final
 #             JSON against the uninterrupted run (DESIGN.md Sec. 16)
+#   perfbench the benchmark program's own tests: perfbench/ configured
+#             standalone (Release, as perfbench/run.py builds it) and
+#             perfbench_test run — the windowed drive, timing
+#             decorator and checkpoint round trip must leave every
+#             output and counter unchanged
 #   bench     opt-in (never in the default matrix): Release build,
 #             one short pass of micro_kernels with JSON output, and a
 #             strict parse of that JSON — rot protection for the
@@ -256,6 +261,15 @@ stage_ckpt() {
     echo "ckpt smoke: SIGTERM at exit $rc, resume byte-identical"
 }
 
+stage_perfbench() {
+    # perfbench/ builds the library straight from ../src in its own
+    # tree; build the test target by name so a host without
+    # GoogleTest fails here instead of skipping the tests.
+    cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+    cmake --build build-perfbench -j "$JOBS" --target perfbench_test
+    ./build-perfbench/perfbench_test
+}
+
 stage_bench() {
     # Opt-in rot protection for the microbenchmarks (not in the
     # default matrix): Release build, one short pass of every bench,
@@ -322,12 +336,12 @@ stage_tidy() {
 if [ "$#" -gt 0 ]; then
     stages=("$@")
 else
-    stages=(plain asan tsan paranoid fault fleet ckpt lint tidy)
+    stages=(plain asan tsan paranoid fault fleet ckpt perfbench lint tidy)
 fi
 
 for stage in "${stages[@]}"; do
     case "$stage" in
-        plain|asan|tsan|paranoid|fault|fleet|ckpt|lint|tidy|bench) ;;
+        plain|asan|tsan|paranoid|fault|fleet|ckpt|perfbench|lint|tidy|bench) ;;
         *)
             echo "check.sh: unknown stage '$stage'" >&2
             exit 2
