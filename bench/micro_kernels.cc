@@ -2,17 +2,16 @@
  * @file
  * google-benchmark microbenchmarks for densim's hot kernels: the
  * coupling-map field evaluation (once per 1 ms epoch), the RC-network
- * steady solve (Fig. 9/10 machinery), scheduler decisions, and a full
- * simulated server-second — the numbers that determine how long the
- * experiment benches take.
+ * steady solve (Fig. 9/10 machinery), DVFS and scheduler decisions,
+ * and the always-on observability hooks. End-to-end speed is
+ * perfbench's to measure (BENCHMARK.json), not this file's.
  */
 
 #include <limits>
 
 #include <benchmark/benchmark.h>
 
-#include "core/dense_server_sim.hh"
-#include "fleet/fleet_sim.hh"
+#include "obs/phase_profiler.hh"
 #include "power/leakage.hh"
 #include "sched/factory.hh"
 #include "sched/prediction.hh"
@@ -270,54 +269,6 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * kBatch));
 }
 BENCHMARK(BM_SchedulerDecisionBatch)->Arg(0)->Arg(1)->Arg(2);
-
-void
-BM_SimulatedServerSecond(benchmark::State &state)
-{
-    for (auto _ : state) {
-        SimConfig config;
-        config.load = 0.7;
-        config.simTimeS = 1.0;
-        config.warmupS = 0.2;
-        config.socketTauS = 3.0;
-        DenseServerSim sim(config, makeScheduler("CP"));
-        auto metrics = sim.run();
-        benchmark::DoNotOptimize(metrics);
-    }
-}
-BENCHMARK(BM_SimulatedServerSecond)->Unit(benchmark::kMillisecond);
-
-void
-BM_FleetServerSecond(benchmark::State &state)
-{
-    // A 16-chassis fleet simulating one server-second per shard,
-    // swept over worker-thread counts: the lockstep-barrier scaling
-    // number. Results are bit-identical across the Arg values (the
-    // fleet determinism contract), so this measures pure wall-clock
-    // scaling.
-    const auto threads = static_cast<unsigned>(state.range(0));
-    SimConfig config;
-    config.load = 0.7;
-    config.simTimeS = 1.0;
-    config.warmupS = 0.2;
-    config.socketTauS = 3.0;
-    config.fleet.chassis = 16;
-    // Construction (16 topology + coupling-map builds) is one-time
-    // setup; the timed section is the lockstep run itself.
-    FleetSim fleet(config, "CP");
-    for (auto _ : state) {
-        auto metrics = fleet.run(threads);
-        benchmark::DoNotOptimize(metrics);
-    }
-}
-BENCHMARK(BM_FleetServerSecond)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 // --- observability overhead (DESIGN.md Sec. 10) ---------------------
 // Two benches pin the cost of the always-on hooks: a counter

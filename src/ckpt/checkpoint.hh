@@ -69,7 +69,7 @@ inline constexpr char kMagic[8] = {'D', 'S', 'I', 'M',
                                    'C', 'K', 'P', 'T'};
 
 /** Format version; bumped on any wire-format change. */
-inline constexpr std::uint32_t kVersion = 4;
+inline constexpr std::uint32_t kVersion = 5;
 
 /** What a checkpoint file holds. */
 enum class SnapshotKind : std::uint32_t

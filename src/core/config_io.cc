@@ -252,10 +252,6 @@ keyTable()
         {"timelineSampleS", dbl(&SimConfig::timelineSampleS)},
         {"obs.tracePath", pathf(&SimConfig::obsTracePath)},
         {"obs.timelinePath", pathf(&SimConfig::obsTimelinePath)},
-        {"incrementalThermal", boolf(&SimConfig::incrementalThermal)},
-        {"schedPredictionCache",
-         boolf(&SimConfig::schedPredictionCache)},
-        {"busySumSkip", boolf(&SimConfig::busySumSkip)},
         {"warmStart", boolf(&SimConfig::warmStart)},
         {"seed",
          {[](SimConfig &c, const std::string &k, const std::string &v) {

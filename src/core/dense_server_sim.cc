@@ -19,11 +19,12 @@ namespace densim {
 namespace {
 
 /**
- * Epochs between full recomputations of the ambient-target field when
- * the incremental delta path is active. Bounds floating-point drift
- * of the accumulated deltas (each refresh re-derives the field from
- * the power vector, exactly like the reference path) at a cost of one
- * O(n x downstream) evaluation per ~1 simulated second.
+ * Epochs between full recomputations of the delta-maintained
+ * ambient-target field. Bounds floating-point drift of the
+ * accumulated deltas (each refresh re-derives the field from the
+ * power vector and reports the drift it removed as
+ * thermal.ambientDriftC) at a cost of one O(n x downstream)
+ * evaluation per ~1 simulated second.
  */
 constexpr std::size_t kAmbientRefreshEpochs = 1024;
 
@@ -145,6 +146,8 @@ DenseServerSim::registerObs()
         obsRegistry_.typedGauge<Watts>("engine.endPowerW", "W");
     gaugeMaxChipC_ =
         obsRegistry_.typedGauge<Celsius>("engine.maxChipTempC", "C");
+    gaugeAmbientDriftC_ =
+        obsRegistry_.typedGauge<Celsius>("thermal.ambientDriftC", "C");
     pm_.attachObs(obsRegistry_);
     predCache_.attachObs(obsRegistry_);
     policy_->attachObs(obsRegistry_);
@@ -235,6 +238,7 @@ DenseServerSim::resetState()
         idleList_[s] = s;
 
     ambTargets_ = amb0;
+    ambScratch_.assign(n, 0.0);
     targetPowerW_ = powerW_;
     powerDirty_.assign(n, 0);
     dirtySockets_.clear();
@@ -514,17 +518,22 @@ DenseServerSim::markPowerDirty(std::size_t socket)
     }
 }
 
-void
+double
 DenseServerSim::refreshAmbientTargets()
 {
     count_.ambientRefreshes->inc();
-    coupling_.ambientTempsInto(ambTargets_.data(), ambTargets_.size(),
+    coupling_.ambientTempsInto(ambScratch_.data(), ambScratch_.size(),
                                powerW_.data(), config_.topo.inlet());
+    double drift = 0.0;
+    for (std::size_t s = 0; s < ambScratch_.size(); ++s)
+        drift = std::max(drift, std::fabs(ambScratch_[s] - ambTargets_[s]));
+    ambTargets_.swap(ambScratch_);
     targetPowerW_ = powerW_;
     for (std::size_t s : dirtySockets_)
         powerDirty_[s] = 0;
     dirtySockets_.clear();
     epochsSinceAmbientRefresh_ = 0;
+    return drift;
 }
 
 void
@@ -535,20 +544,18 @@ DenseServerSim::thermalStep(double dt)
     // time constant; the chip's own Eq. (1) rise follows with the
     // 5 ms chip time constant. The target field is the coupling-map
     // steady state of the current powers, maintained by per-socket
-    // deltas (or recomputed in full in the reference mode).
-    if (!config_.incrementalThermal ||
-        ++epochsSinceAmbientRefresh_ >= kAmbientRefreshEpochs) {
-        refreshAmbientTargets();
-    } else if (!dirtySockets_.empty()) {
-        count_.ambientDeltas->inc(dirtySockets_.size());
-        for (std::size_t s : dirtySockets_) {
-            coupling_.applyPowerDelta(ambTargets_, s, targetPowerW_[s],
-                                      powerW_[s]);
-            targetPowerW_[s] = powerW_[s];
-            powerDirty_[s] = 0;
-        }
-        dirtySockets_.clear();
+    // deltas. The periodic full re-evaluation replaces it and records
+    // how far the deltas had drifted from it.
+    count_.ambientDeltas->inc(dirtySockets_.size());
+    for (std::size_t s : dirtySockets_) {
+        coupling_.applyPowerDelta(ambTargets_, s, targetPowerW_[s],
+                                  powerW_[s]);
+        targetPowerW_[s] = powerW_[s];
+        powerDirty_[s] = 0;
     }
+    dirtySockets_.clear();
+    if (++epochsSinceAmbientRefresh_ >= kAmbientRefreshEpochs)
+        gaugeAmbientDriftC_.raise(Celsius(refreshAmbientTargets()));
     const std::size_t n = topo_.numSockets();
     const bool measure = tCursor_ >= config_.warmupS;
 
@@ -765,21 +772,6 @@ DenseServerSim::setSocketRate(std::size_t socket, std::size_t new_pstate,
         curve.perfRel[new_pstate] / curve.perfRel[sustainedIdx_];
     if (rate <= 0.0)
         panic("socket ", socket, " has non-positive progress rate");
-    const double rel = relFreqByPstate_[new_pstate];
-    const char boost = boostByPstate_[new_pstate] ? 1 : 0;
-    // Skip the busy-sum remove/add round-trip when the socket is
-    // already summed with bitwise-identical contributions — the
-    // common case of powerManage confirming last epoch's decision.
-    // Exact because the skip can only trigger inside powerManage
-    // (every other caller places onto a socket that is not yet in the
-    // sums), and powerManage rebuilds the sums from scratch before
-    // they are next read (rebuildScalars).
-    const bool resum = !(config_.busySumSkip && inBusySums_[socket] &&
-                         contribRate_[socket] == rate &&
-                         contribRel_[socket] == rel &&
-                         contribBoost_[socket] == boost);
-    if (resum)
-        busySumsRemove(socket);
     pstate_[socket] = new_pstate;
     boostFlag_[socket] = boostByPstate_[new_pstate];
     freqMhz_[socket] = freqByPstate_[new_pstate];
@@ -790,10 +782,13 @@ DenseServerSim::setSocketRate(std::size_t socket, std::size_t new_pstate,
         markPowerDirty(socket);
     }
     rateCache_[socket] = rate;
-    relFreqCache_[socket] = rel;
+    relFreqCache_[socket] = relFreqByPstate_[new_pstate];
     completionS_[socket] = now + jobRemainingS_[socket] / rate;
-    if (resum)
-        busySumsAdd(socket);
+    // Only a socket not yet in the busy sums gets added here: placeJob
+    // and migrateJob rate a socket that was idle, and powerManage
+    // leaves already-summed sockets stale until rebuildScalars
+    // recomputes every sum from scratch, before anything reads them.
+    busySumsAdd(socket);
     if (busyFlag_[socket])
         completionHeap_.upsert(socket, completionS_[socket]);
     // Refresh the downstream-penalty fast path (prediction.hh): the
@@ -867,9 +862,7 @@ DenseServerSim::makeSchedContext() const
     ctx.socketRow = rowCache_.data();
     ctx.rng = const_cast<Rng *>(&policyRng_);
     ctx.scratch = const_cast<Arena *>(&arena_);
-    ctx.cache = config_.schedPredictionCache
-                    ? const_cast<PredictionCache *>(&predCache_)
-                    : nullptr;
+    ctx.cache = const_cast<PredictionCache *>(&predCache_);
     return ctx;
 }
 

@@ -265,8 +265,12 @@ class DenseServerSim
         "epochs and is clear()ed, never shrunk")
     void markPowerDirty(std::size_t socket);
 
-    /** Recompute the ambient-target field from scratch. */
-    void refreshAmbientTargets();
+    /**
+     * Recompute the ambient-target field from scratch (into
+     * ambScratch_, then swapped in); returns the largest difference
+     * from the field it replaces.
+     */
+    double refreshAmbientTargets();
 
     /** Remove/add socket @p s from/to the busy piecewise sums. */
     void busySumsRemove(std::size_t s);
@@ -360,6 +364,9 @@ class DenseServerSim
     EngineCounters count_;
     obs::TypedGauge<Watts> gaugePowerW_;   //!< Server power at run end.
     obs::TypedGauge<Celsius> gaugeMaxChipC_;
+    /** Largest |delta-maintained - recomputed| ambient target seen at
+     *  a periodic refresh this run. */
+    obs::TypedGauge<Celsius> gaugeAmbientDriftC_;
 
     /** Take a timeline sample at grid time @p grid_s if one is due. */
     void sampleTimeline(double epoch_end_s);
@@ -376,6 +383,7 @@ class DenseServerSim
 
     std::vector<double> ambTargets_; //!< Coupling-map ambient targets.
     std::vector<double> targetPowerW_; //!< Powers ambTargets_ is for.
+    std::vector<double> ambScratch_;   //!< Full re-evaluation buffer.
     std::vector<char> powerDirty_;
     std::vector<std::size_t> dirtySockets_;
     std::size_t epochsSinceAmbientRefresh_ = 0;
@@ -392,8 +400,8 @@ class DenseServerSim
      * Scheduler prediction memo (sched/prediction.hh). Epoch-bumped
      * after every thermal and power-management step, surgically
      * invalidated along coupling_.upstream() edges on job placement /
-     * completion / migration / fault transitions. Handed to policies
-     * only when config_.schedPredictionCache is on.
+     * completion / migration / fault transitions. Handed to every
+     * policy through SchedContext::cache.
      */
     PredictionCache predCache_;
 

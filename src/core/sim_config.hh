@@ -119,44 +119,6 @@ struct SimConfig
      */
     double fanPowerW = 0.0;
 
-    // Engine performance knobs. The event-heap completion queue, the
-    // incremental idle list and the DVFS feasibility ladder are
-    // always on; these three switch the remaining exact hot-path
-    // strategies off, leaving the reference paths the differential
-    // tests compare against.
-    /**
-     * Maintain the socket ambient-target field by applying per-socket
-     * power deltas through the coupling map (O(changed x downstream)
-     * per epoch) instead of re-evaluating the full field (O(n x
-     * downstream)). Results agree with the full evaluation to
-     * rounding accuracy (~1e-12 C; the field is refreshed
-     * periodically to bound drift). Disable to force the historical
-     * recompute-from-scratch path — the reference for the
-     * differential tests.
-     */
-    bool incrementalThermal = true;
-    /**
-     * Hand schedulers the per-socket prediction memo
-     * (sched/prediction.hh): placement and downstream-penalty results
-     * are reused within an epoch and dropped the moment any input
-     * moves. Decisions are bit-identical either way (pinned by the
-     * perf-equivalence bank); the knob exists so the differential
-     * tests can run the pristine uncached arithmetic.
-     */
-    bool schedPredictionCache = true;
-    /**
-     * Skip the busy-sum remove/add round-trip in setSocketRate when a
-     * socket's contributions (progress rate, relative frequency,
-     * boost flag) are bitwise unchanged — the common case of a
-     * powerManage epoch confirming last epoch's DVFS decision. Exact:
-     * the skip can only trigger on already-summed sockets inside
-     * powerManage, whose piecewise sums are rebuilt from scratch
-     * before the next read (rebuildScalars), so metrics are
-     * bit-identical either way (pinned by the perf-equivalence
-     * bank). The knob exists for the differential test.
-     */
-    bool busySumSkip = true;
-
     /**
      * Fault injection and graceful degradation (src/fault, DESIGN.md
      * Sec. 11), set via the "fault.*" config keys. Disarmed by

@@ -74,6 +74,14 @@ class TypedGauge
             gauge_->set(quantity.value());
     }
 
+    /** Keep the larger of the current value and @p quantity. */
+    void
+    raise(Q quantity)
+    {
+        if (gauge_ != nullptr && quantity.value() > gauge_->value())
+            gauge_->set(quantity.value());
+    }
+
   private:
     Gauge *gauge_ = nullptr;
 };

@@ -40,9 +40,10 @@ namespace densim {
  *    socket's state).
  *
  * Cached values are returned verbatim, so the cached path is
- * bit-identical to recomputation — tested by running with the
- * schedPredictionCache knob off (ctx.cache == nullptr) and comparing
- * SimMetrics with EXPECT_EQ.
+ * bit-identical to recomputation — tested by wrapping the policy so
+ * that it sees ctx.cache == nullptr (the only source of a null cache;
+ * the engine always hands one out) and comparing SimMetrics with
+ * EXPECT_EQ.
  *
  * Whenever the cache is present, the penalty loop resolves each busy
  * downstream socket's re-predicted frequency by walking the

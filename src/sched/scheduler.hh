@@ -89,10 +89,11 @@ struct SchedContext
 
     /**
      * Engine-maintained memo for predictPlacement /
-     * downstreamPenaltyMhz (see sched/prediction.hh). Null when the
-     * schedPredictionCache knob is off — the prediction helpers then
-     * recompute everything from scratch, which is the reference
-     * behaviour the cached path is tested bit-identical against.
+     * downstreamPenaltyMhz (see sched/prediction.hh). The engine
+     * always sets it; only the tests' uncached scheduler wrapper
+     * hands a policy null, so the prediction helpers recompute
+     * everything from scratch — the reference behaviour the cached
+     * path is tested bit-identical against.
      */
     PredictionCache *cache = nullptr;
 };

@@ -438,7 +438,7 @@ TEST(CkptFormat, ImageDigestsArePinned)
 {
     // The wire format, byte for byte. A change to any of these
     // digests is a format change and needs a kVersion bump.
-    EXPECT_EQ(ckpt::kVersion, 4u);
+    EXPECT_EQ(ckpt::kVersion, 5u);
 
     std::string plain;
     {
@@ -479,11 +479,11 @@ TEST(CkptFormat, ImageDigestsArePinned)
         fleet_image = ckpt::saveFleet(fleet);
     }
 
-    EXPECT_EQ(hex64(fnv1a64(plain)), "66d46fbbb84402ad")
+    EXPECT_EQ(hex64(fnv1a64(plain)), "d67c0ffb3e450ab1")
         << plain.size() << " bytes";
-    EXPECT_EQ(hex64(fnv1a64(faulted)), "13c39c43dd1be052")
+    EXPECT_EQ(hex64(fnv1a64(faulted)), "fdde0245273c399a")
         << faulted.size() << " bytes";
-    EXPECT_EQ(hex64(fnv1a64(fleet_image)), "25e797a74dafdf6b")
+    EXPECT_EQ(hex64(fnv1a64(fleet_image)), "368f7a7e4ee5291d")
         << fleet_image.size() << " bytes";
 }
 

@@ -17,6 +17,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -289,9 +290,14 @@ printCounterTable(const obs::Registry &registry)
         table.newRow().cell(c.name).cell(
             static_cast<long long>(c.value));
     table.print(std::cout);
+    // Six significant digits, not fixed decimals: a gauge such as
+    // thermal.ambientDriftC lives near 1e-12.
     TableWriter gauges({"Gauge", "Value", "Unit"});
-    for (const auto &g : registry.gauges())
-        gauges.newRow().cell(g.name).cell(g.value, 3).cell(g.unit);
+    for (const auto &g : registry.gauges()) {
+        std::ostringstream value;
+        value << std::setprecision(6) << g.value;
+        gauges.newRow().cell(g.name).cell(value.str()).cell(g.unit);
+    }
     gauges.print(std::cout);
 }
 
