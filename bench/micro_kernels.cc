@@ -17,7 +17,6 @@
 #include "sched/prediction.hh"
 #include "server/sut.hh"
 #include "thermal/hotspot_model.hh"
-#include "util/arena.hh"
 #include "workload/curves.hh"
 
 using namespace densim;
@@ -140,7 +139,6 @@ BM_SchedulerDecision(benchmark::State &state)
             chip[s] = 30.0 + static_cast<double>(s % 17);
         }
     }
-    Arena arena(64 * 1024);
     SchedContext ctx;
     ctx.topo = &topo;
     ctx.coupling = &coupling;
@@ -159,7 +157,6 @@ BM_SchedulerDecision(benchmark::State &state)
     ctx.busy = busy.data();
     ctx.socketRow = rows.data();
     ctx.rng = &rng;
-    ctx.scratch = &arena;
 
     auto policy = makeScheduler(name);
     Job job{0, 0, WorkloadSet::Computation, 0.0, 5e-3};
@@ -174,10 +171,9 @@ void
 BM_SchedulerDecisionBatch(benchmark::State &state)
 {
     // A scheduling epoch's worth of placement decisions with the full
-    // engine-side fast path wired up: epoch arena for decision-local
-    // scratch, prediction cache (placement/penalty memos + the
-    // feasibility ladder), precomputed row map, and the exact-DVFS
-    // prune. Unlike BM_SchedulerDecision this measures the amortized
+    // engine-side fast path wired up: prediction cache
+    // (placement/penalty memos + the feasibility ladder), precomputed
+    // row map, and the exact-DVFS prune. Unlike BM_SchedulerDecision this measures the amortized
     // per-decision cost the simulator actually pays when several jobs
     // land in one epoch; the cache epoch is bumped between batches
     // exactly as thermalStep does.
@@ -221,7 +217,6 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
         }
     }
 
-    Arena arena(64 * 1024);
     PredictionCache cache;
     cache.reset(n, table.size());
     for (std::size_t i = 0; i < table.size(); ++i)
@@ -253,7 +248,6 @@ BM_SchedulerDecisionBatch(benchmark::State &state)
     ctx.busy = busy.data();
     ctx.socketRow = rows.data();
     ctx.rng = &rng;
-    ctx.scratch = &arena;
     ctx.cache = &cache;
 
     auto policy = makeScheduler(name);

@@ -239,6 +239,7 @@ DenseServerSim::resetState()
 
     ambTargets_ = amb0;
     ambScratch_.assign(n, 0.0);
+    riseTargets_.assign(n, 0.0);
     targetPowerW_ = powerW_;
     powerDirty_.assign(n, 0);
     dirtySockets_.clear();
@@ -251,11 +252,6 @@ DenseServerSim::resetState()
     contribRel_.assign(n, 0.0);
     contribBoost_.assign(n, 0);
 
-    // Pre-reserve the per-epoch scratch arena: one n-double thermal
-    // target frame plus CP's decision-local candidate lists, with
-    // headroom. checkEpochInvariants asserts it never grows past this
-    // reserve — the zero-heap-per-epoch contract.
-    arena_.reserve(32 * n + 256);
     predCache_.reset(n, pm_.pstates().size());
     for (std::size_t i = 0; i < pm_.pstates().size(); ++i)
         predCache_.stateFreqMhz[i] = pm_.pstates().at(i).freqMhz;
@@ -306,21 +302,11 @@ DenseServerSim::run()
 {
     JobGenerator gen(config_.workload, config_.load,
                      static_cast<int>(topo_.numSockets()), config_.seed);
-    return runJobs(gen.generateUntil(config_.simTimeS));
+    return run(gen.generateUntil(config_.simTimeS));
 }
 
 SimMetrics
 DenseServerSim::run(const std::vector<Job> &jobs)
-{
-    for (std::size_t i = 1; i < jobs.size(); ++i) {
-        if (jobs[i].arrivalS < jobs[i - 1].arrivalS)
-            fatal("DenseServerSim: job arrivals must be sorted");
-    }
-    return runJobs(jobs);
-}
-
-SimMetrics
-DenseServerSim::runJobs(const std::vector<Job> &jobs)
 {
     // The one-shot run is the streamed run with the full arrival list
     // submitted up front: same epoch bodies, in the same order, so
@@ -591,19 +577,17 @@ DenseServerSim::thermalStep(double dt)
                         amb_alpha);
 
     // Bank 2: Eq. (1) chip rise (tau 5 ms). The target field lives in
-    // the per-epoch arena — zero heap in steady state. The expression
-    // mirrors the typed-quantity evaluation order exactly:
+    // a buffer sized in resetState — zero heap in steady state. The
+    // expression mirrors the typed-quantity evaluation order exactly:
     // P * (R_int + R_ext) + (theta.c0 + theta.c1 * P).
-    const Arena::Marker marker = arena_.mark();
-    double *rise_target = arena_.alloc<double>(n);
     for (std::size_t s = 0; s < n; ++s) {
         const double p = powerW_[s];
-        rise_target[s] =
+        riseTargets_[s] =
             p * rTotCW_[s] + (thetaC0_[s] + thetaC1_[s] * p);
     }
     const double rise_alpha = responseFraction(dt, config_.chipTauS);
-    firstOrderStepBatch(chipRiseC_.data(), rise_target, n, rise_alpha);
-    arena_.release(marker);
+    firstOrderStepBatch(chipRiseC_.data(), riseTargets_.data(), n,
+                        rise_alpha);
 
     for (std::size_t s = 0; s < n; ++s)
         chipTempC_[s] = ambientC_[s] + chipRiseC_[s];
@@ -861,7 +845,6 @@ DenseServerSim::makeSchedContext() const
     ctx.busy = busyFlag_.data();
     ctx.socketRow = rowCache_.data();
     ctx.rng = const_cast<Rng *>(&policyRng_);
-    ctx.scratch = const_cast<Arena *>(&arena_);
     ctx.cache = const_cast<PredictionCache *>(&predCache_);
     return ctx;
 }
@@ -1156,14 +1139,6 @@ DenseServerSim::checkEpochInvariants() const
                  "next completion ", completionHeap_.topKey(),
                  " s lies before the integration cursor ", tCursor_,
                  " s");
-
-    // The zero-heap-per-epoch contract: the scratch arena must never
-    // outgrow its resetState reserve in steady state.
-    DENSIM_CHECK(arena_.stats().growths == 0,
-                 "per-epoch arena grew ", arena_.stats().growths,
-                 " times past its resetState reserve of ",
-                 arena_.stats().capacityBytes,
-                 " bytes — heap allocation on the hot path");
 
 #if DENSIM_ENABLE_PARANOID
     completionHeap_.checkInvariants();

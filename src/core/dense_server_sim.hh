@@ -62,7 +62,6 @@
 #include "thermal/coupling_map.hh"
 #include "thermal/simple_peak_model.hh"
 #include "thermal/transient.hh"
-#include "util/arena.hh"
 #include "util/rng.hh"
 #include "workload/job_generator.hh"
 
@@ -185,7 +184,6 @@ class DenseServerSim
     // --- run phases -------------------------------------------------
     void resetState();
     void warmStart();
-    SimMetrics runJobs(const std::vector<Job> &jobs);
     DENSIM_HOT void thermalStep(double dt);
     DENSIM_HOT void powerManage(double now);
     DENSIM_HOT DENSIM_ALLOCATES(
@@ -384,17 +382,10 @@ class DenseServerSim
     std::vector<double> ambTargets_; //!< Coupling-map ambient targets.
     std::vector<double> targetPowerW_; //!< Powers ambTargets_ is for.
     std::vector<double> ambScratch_;   //!< Full re-evaluation buffer.
+    std::vector<double> riseTargets_;  //!< Eq. (1) chip-rise targets.
     std::vector<char> powerDirty_;
     std::vector<std::size_t> dirtySockets_;
     std::size_t epochsSinceAmbientRefresh_ = 0;
-
-    /**
-     * Per-epoch scratch arena (thermal kernel targets, CP candidate
-     * lists). Pre-reserved in resetState; checkEpochInvariants asserts
-     * it never grows in steady state — the zero-heap-per-epoch
-     * contract of DESIGN.md Sec. 12.
-     */
-    Arena arena_;
 
     /**
      * Scheduler prediction memo (sched/prediction.hh). Epoch-bumped

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "sched/prediction.hh"
-#include "util/arena.hh"
 #include "util/logging.hh"
 
 namespace densim {
@@ -67,31 +66,24 @@ CouplingPredictor::pick(const Job &job, const SchedContext &ctx)
     // Paper mechanics: choose a row with idle sockets at random, then
     // evaluate only that row's idle sockets. Idle ids ascend, so each
     // row's sockets are one contiguous span of the idle list: one
-    // pass records the span boundaries and the chosen row's
-    // candidates are a pointer range into the idle array itself — no
-    // copy. The boundary scratch lives in the per-epoch arena (zero
-    // heap in steady state).
+    // pass counts the rows, a second scans to the chosen row's span,
+    // and the candidates are a pointer range into the idle array
+    // itself — no copy, no scratch.
     const auto &idle = *ctx.idle;
-    Arena &arena = *ctx.scratch;
-    const Arena::Marker marker = arena.mark();
-    std::size_t *starts = arena.alloc<std::size_t>(idle.size() + 1);
-
-    std::size_t n_rows = 0;
-    int last_row = -1;
-    for (std::size_t k = 0; k < idle.size(); ++k) {
-        const int row = ctx.socketRow[idle[k]];
-        if (row != last_row) {
-            starts[n_rows++] = k;
-            last_row = row;
-        }
+    const int *row_of = ctx.socketRow;
+    std::size_t n_rows = 1;
+    for (std::size_t k = 1; k < idle.size(); ++k)
+        n_rows += row_of[idle[k]] != row_of[idle[k - 1]];
+    std::size_t row_left = ctx.rng->nextBounded(n_rows);
+    std::size_t begin = 0;
+    while (row_left > 0) {
+        ++begin;
+        row_left -= row_of[idle[begin]] != row_of[idle[begin - 1]];
     }
-    starts[n_rows] = idle.size();
-    const std::size_t pick_at = ctx.rng->nextBounded(n_rows);
-    const std::size_t best =
-        pickWithin(job, ctx, idle.data() + starts[pick_at],
-                   starts[pick_at + 1] - starts[pick_at]);
-    arena.release(marker);
-    return best;
+    std::size_t end = begin + 1;
+    while (end < idle.size() && row_of[idle[end]] == row_of[idle[begin]])
+        ++end;
+    return pickWithin(job, ctx, idle.data() + begin, end - begin);
 }
 
 } // namespace densim

@@ -30,7 +30,6 @@
 
 namespace densim {
 
-class Arena;
 struct PredictionCache;
 
 /**
@@ -79,13 +78,6 @@ struct SchedContext
     const int *socketRow = nullptr;
 
     Rng *rng; //!< Policy-visible randomness (deterministic per run).
-
-    /**
-     * Per-epoch scratch arena for decision-local allocations
-     * (candidate lists, row tallies); required. Policies must bracket
-     * use with mark()/release().
-     */
-    Arena *scratch = nullptr;
 
     /**
      * Engine-maintained memo for predictPlacement /

@@ -125,7 +125,7 @@ TEST(PerfEquivalence, ObservabilityIsBitIdentical)
  * Pre-SoA-refactor SimMetrics captured from the seed engine (hex
  * float literals, so the expected values round-trip exactly). The
  * SoA hot paths — flat state arrays, the feasibility ladder, the
- * fused scoring context, the epoch arena — are all claimed to be
+ * fused scoring context — are all claimed to be
  * *exact* rewrites, so the refactored engine must reproduce these
  * numbers for every scheduler, with faults armed, and with
  * migration on.

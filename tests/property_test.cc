@@ -17,7 +17,6 @@
 #include "sched/factory.hh"
 #include "server/sut.hh"
 #include "thermal/rc_network.hh"
-#include "util/arena.hh"
 #include "util/rng.hh"
 #include "workload/curves.hh"
 
@@ -189,7 +188,6 @@ TEST(PolicyFuzz, AllPoliciesValidOnRandomStates)
     std::vector<int> rows(n);
     for (std::size_t s = 0; s < n; ++s)
         rows[s] = topo.rowOf(s);
-    Arena arena(64 * 1024);
 
     for (const std::string &name : allSchedulerNames()) {
         auto policy = makeScheduler(name);
@@ -234,7 +232,6 @@ TEST(PolicyFuzz, AllPoliciesValidOnRandomStates)
             ctx.busy = busy.data();
             ctx.socketRow = rows.data();
             ctx.rng = &rng;
-            ctx.scratch = &arena;
 
             Job job{0, 0, WorkloadSet::Computation, 0.0,
                     rng.uniform(1e-3, 50e-3)};

@@ -16,7 +16,6 @@
 #include "sched/prediction.hh"
 #include "server/sut.hh"
 #include "thermal/simple_peak_model.hh"
-#include "util/arena.hh"
 #include "workload/curves.hh"
 
 namespace densim {
@@ -90,7 +89,6 @@ class SchedFixture : public ::testing::Test
         ctx.busy = busy_.data();
         ctx.socketRow = rows_.data();
         ctx.rng = &rng_;
-        ctx.scratch = &arena_;
         return ctx;
     }
 
@@ -115,7 +113,6 @@ class SchedFixture : public ::testing::Test
     std::vector<WorkloadSet> set_;
     std::vector<std::uint8_t> busy_;
     std::vector<int> rows_;
-    Arena arena_{64 * 1024};
 };
 
 TEST_F(SchedFixture, FactoryKnowsAllPaperNames)
@@ -421,6 +418,43 @@ TEST_F(SchedFixture, CouplingPredictorStaysInOneRow)
     auto ctx = context();
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(topo_.rowOf(cp.pick(job(), ctx)), 7);
+}
+
+TEST_F(SchedFixture, CouplingPredictorDrawsEveryIdleRowSpan)
+{
+    // Idle sockets in three non-adjacent rows: the first, the last,
+    // and a middle row holding one idle socket. Every pick must land
+    // in one of them, and the row draw must reach each span — the
+    // first, the last and the one-socket edge of the span scan.
+    const int last_row = topo_.numRows() - 1;
+    ASSERT_EQ(last_row, 14);
+    const int lone_row = 6;
+    std::size_t lone_socket = topo_.numSockets();
+    for (std::size_t s = 0; s < topo_.numSockets(); ++s) {
+        const int row = topo_.rowOf(s);
+        bool idle = row == 0 || row == last_row;
+        if (row == lone_row && lone_socket == topo_.numSockets()) {
+            lone_socket = s;
+            idle = true;
+        }
+        busy_[s] = !idle;
+    }
+    allIdle();
+    CouplingPredictor cp;
+    auto ctx = context();
+    std::size_t first_hits = 0, last_hits = 0, lone_hits = 0;
+    for (int i = 0; i < 300; ++i) {
+        const std::size_t s = cp.pick(job(), ctx);
+        const int row = topo_.rowOf(s);
+        ASSERT_TRUE(row == 0 || row == last_row || s == lone_socket)
+            << "socket " << s << " in row " << row;
+        first_hits += row == 0;
+        last_hits += row == last_row;
+        lone_hits += s == lone_socket;
+    }
+    EXPECT_GT(first_hits, 0u);
+    EXPECT_GT(last_hits, 0u);
+    EXPECT_GT(lone_hits, 0u);
 }
 
 TEST_F(SchedFixture, PickHelpersTieBreakDeterministically)
