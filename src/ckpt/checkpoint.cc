@@ -953,6 +953,7 @@ CkptAccess::restoreFleetImage(FleetSim &fleet, std::string_view image,
         fleet.base_.workload, fleet.base_.load,
         static_cast<int>(fleet.totalSockets()),
         domainSeed(fleet.fleetSeed_, 0, fleet_stream::kArrivals));
+    fleet.dropLookahead(); // The image holds the cursor, never a look-ahead.
     fleet.registry_.resetValues();
     fleet.windowsCtr_ = &fleet.registry_.counter("fleet/windows");
     fleet.dispatchedCtr_ =

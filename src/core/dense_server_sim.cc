@@ -1289,15 +1289,6 @@ DenseServerSim::applyFanFlowFraction(double flow_frac)
     refreshAmbientTargets();
 }
 
-double
-DenseServerSim::fanFlowFraction(double speed_cap) const
-{
-    return fanDerateEffect(speed_cap, config_.fault.fanCount,
-                           config_.topo.perSocketCfm *
-                               static_cast<double>(topo_.numSockets()))
-        .flowFrac;
-}
-
 std::size_t
 DenseServerSim::dvfsCap(std::size_t socket) const
 {

@@ -220,8 +220,6 @@ class DenseServerSim
      *  Cold by design: a fan fault rebuilds the whole coupling
      *  operator, deliberately outside the epoch heap contract. */
     DENSIM_COLD void applyFanFlowFraction(double flow_frac);
-    /** Delivered-flow fraction for a bank speed cap (affinity laws). */
-    double fanFlowFraction(double speed_cap) const;
     /** Boost cap for powerManage/placeJob, honoring the throttle. */
     std::size_t dvfsCap(std::size_t socket) const;
     /** Cap by boost credit alone (boost or highest sustained) — the

@@ -120,17 +120,27 @@ countersToJson(const obs::Registry &registry)
     return out;
 }
 
-std::string
-phasesToJson(const obs::PhaseProfiler &profiler)
+std::vector<PhaseRow>
+phaseRows(const obs::PhaseProfiler &profiler)
 {
-    std::string out = "{";
+    std::vector<PhaseRow> rows;
+    rows.reserve(static_cast<std::size_t>(obs::Phase::Count));
     for (unsigned p = 0; p < static_cast<unsigned>(obs::Phase::Count);
          ++p) {
         const auto phase = static_cast<obs::Phase>(p);
-        const obs::PhaseProfiler::Totals t = profiler.totals(phase);
-        if (p != 0)
+        rows.emplace_back(obs::phaseName(phase), profiler.totals(phase));
+    }
+    return rows;
+}
+
+std::string
+phasesToJson(std::span<const PhaseRow> rows)
+{
+    std::string out = "{";
+    for (const auto &[name, t] : rows) {
+        if (out.size() > 1)
             out += ",";
-        obs::json::appendString(out, obs::phaseName(phase));
+        obs::json::appendString(out, name);
         out += ":{\"calls\":" + std::to_string(t.calls) +
                ",\"ns\":" + std::to_string(t.ns) + "}";
     }

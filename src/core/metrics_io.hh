@@ -8,16 +8,22 @@
 #ifndef DENSIM_CORE_METRICS_IO_HH
 #define DENSIM_CORE_METRICS_IO_HH
 
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/metrics.hh"
+#include "obs/phase_profiler.hh"
 
 namespace densim {
 
 namespace obs {
-class PhaseProfiler;
 class Registry;
 } // namespace obs
+
+/** A phase's display name and its wall-clock totals. */
+using PhaseRow = std::pair<const char *, obs::PhaseProfiler::Totals>;
 
 /**
  * Serialize @p metrics as a single strict-JSON object (no trailing
@@ -32,13 +38,16 @@ std::string metricsToJson(const SimMetrics &metrics);
  */
 std::string countersToJson(const obs::Registry &registry);
 
+/** The engine phases of @p profiler as rows, in obs::Phase order. */
+std::vector<PhaseRow> phaseRows(const obs::PhaseProfiler &profiler);
+
 /**
- * Serialize the wall-clock phase totals of @p profiler:
- * {"thermalStep":{"calls":n,"ns":t},...} in obs::Phase order. Wall
- * time differs run to run, so this never enters SimMetrics, digests
- * or checkpoints; the CLI prints it only under --counters.
+ * Serialize wall-clock phase totals:
+ * {"thermalStep":{"calls":n,"ns":t},...} in row order. Wall time
+ * differs run to run, so this never enters SimMetrics, FleetMetrics,
+ * digests or checkpoints; the CLI prints it only under --counters.
  */
-std::string phasesToJson(const obs::PhaseProfiler &profiler);
+std::string phasesToJson(std::span<const PhaseRow> rows);
 
 /**
  * The zone-ambient timeline of @p metrics as JSONL (one strict-JSON

@@ -4,17 +4,25 @@
  *
  * FleetSim owns N chassis shards — each a full DenseServerSim with
  * its own config, fault timeline and RNG streams — and advances them
- * in lockstep exchange windows on a util/parallel.hh worker pool:
+ * in lockstep exchange windows on a persistent util/parallel.hh
+ * WorkerPool:
  *
- *   per window:  gather summaries (serial, shard-id order)
- *             -> dispatch the window's cluster arrivals (serial)
- *             -> advance every shard through the window's pm epochs
- *                (parallelFor; each work item touches only its own
- *                shard)
+ *   window k:  gather summaries (serial, shard-id order)
+ *           -> take window k's cluster arrivals (the batch drawn
+ *              ahead during window k-1, or a fresh draw) and
+ *              dispatch them (serial)
+ *           -> parallel beat: the calling thread first draws window
+ *              k+1's arrivals from a copy of the arrival stream, then
+ *              claims shards (heaviest first) like every worker; each
+ *              shard task submits its own batch and advances through
+ *              the window's pm epochs, touching only its own shard
+ *
+ * The look-ahead is exact: the cluster stream depends only on the
+ * fleet RNG and the window horizons, never on shard state.
  *
  * Determinism: everything order-sensitive — summary gathering,
  * dispatching, metric roll-up, registry merging — runs serially in
- * shard-id order at the barrier; the parallel section is embarrass-
+ * shard-id order at the barrier; the parallel beat is embarrass-
  * ingly parallel over disjoint shard state. FleetMetrics is
  * therefore bit-identical for any worker-thread count (pinned by
  * tests/fleet_test.cc).
@@ -29,18 +37,23 @@
 #ifndef DENSIM_FLEET_FLEET_SIM_HH
 #define DENSIM_FLEET_FLEET_SIM_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/dense_server_sim.hh"
+#include "core/metrics_io.hh"
 #include "core/sim_config.hh"
 #include "fleet/fleet_dispatcher.hh"
 #include "fleet/fleet_metrics.hh"
+#include "obs/phase_profiler.hh"
 #include "obs/registry.hh"
 
 namespace densim {
+
+class WorkerPool;
 
 /** Stream tags for domainSeed() under the fleet seed domain. */
 namespace fleet_stream {
@@ -49,6 +62,30 @@ constexpr std::uint64_t kShardEngine = 0x5eed0f5aadULL;
 /** Cluster arrival stream (shard coordinate fixed at 0). */
 constexpr std::uint64_t kArrivals = 0xa44174a15ULL;
 } // namespace fleet_stream
+
+/**
+ * Wall-clock totals of the fleet's window phases. They only observe
+ * the run: they live outside the checkpointed registry and never
+ * feed back into the model, so reading them changes no result.
+ */
+struct FleetPhaseTotals
+{
+    using Totals = obs::PhaseProfiler::Totals;
+
+    Totals barrier;     //!< Serial gather + dispatch, every window.
+    Totals lookahead;   //!< Caller's draw of the next window's arrivals.
+    Totals parallel;    //!< Parallel beat, wall time.
+    Totals barrierWait; //!< Beat wall time minus mean worker busy time.
+
+    /** The phases as rows, in display order. */
+    std::array<PhaseRow, 4> rows() const
+    {
+        return {{{"barrier", barrier},
+                 {"lookahead", lookahead},
+                 {"parallel", parallel},
+                 {"barrierWait", barrierWait}}};
+    }
+};
 
 /** A fleet of chassis shards driven in lockstep exchange windows. */
 class FleetSim
@@ -88,7 +125,9 @@ class FleetSim
     /**
      * Run one exchange window on up to @p threads workers. Returns
      * false — without advancing anything — once no shard has pending
-     * work, at which point finishRun() collects the metrics.
+     * work, at which point finishRun() collects the metrics. The
+     * worker pool is built by the first window and rebuilt only when
+     * @p threads changes.
      */
     bool advanceWindow(unsigned threads = 1);
 
@@ -117,6 +156,10 @@ class FleetSim
      */
     const obs::Registry &observability() const { return registry_; }
 
+    /** Wall-clock totals of the window phases since beginRun() (a
+     *  restored fleet: since construction). */
+    const FleetPhaseTotals &phaseTotals() const { return phases_; }
+
   private:
     /**
      * Checkpoint serializer (src/ckpt): captures the window cursor,
@@ -126,6 +169,19 @@ class FleetSim
     friend class CkptAccess;
 
     std::vector<ShardSummary> gatherSummaries() const;
+
+    /** Route @p jobs into batches_ and tally the dispatch. */
+    void dispatchWindow(const std::vector<Job> &jobs,
+                        const std::vector<ShardSummary> &summaries);
+
+    /** Hand shard @p s its batch, if it has one. */
+    void submitBatch(std::size_t s);
+
+    /** submitBatch() for every shard, in shard-id order. */
+    void submitBatches();
+
+    /** Forget the look-ahead batch; the next window draws afresh. */
+    void dropLookahead() { lookaheadReady_ = false; }
 
     SimConfig base_;
     std::uint64_t fleetSeed_ = 0;
@@ -142,6 +198,20 @@ class FleetSim
     std::size_t window_ = 0;      //!< Next exchange window to run.
     bool arrivalsOpen_ = true;    //!< Cluster stream still fanning out.
     bool fleetOpen_ = false;      //!< beginRun .. finishRun.
+
+    // --- look-ahead: never checkpointed ---------------------------------
+    // arrivals_ stays the barrier cursor a checkpoint saves; the next
+    // window is drawn from a copy, which replaces arrivals_ when that
+    // window's barrier takes the batch.
+    std::unique_ptr<JobGenerator> lookaheadGen_;
+    std::vector<Job> lookaheadJobs_;
+    bool lookaheadReady_ = false;
+
+    // --- workers and wall-clock observation ---------------------------
+    std::vector<std::uint64_t> busyNs_; //!< Per worker, this beat.
+    FleetPhaseTotals phases_;
+    unsigned poolThreads_ = 0;          //!< Request pool_ was built for.
+    std::unique_ptr<WorkerPool> pool_;  //!< Built by the first window.
 };
 
 } // namespace densim

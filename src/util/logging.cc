@@ -7,21 +7,8 @@
 namespace densim {
 
 namespace {
-LogLevel gLogLevel = LogLevel::Warning;
 std::atomic<bool> gFatalThrows{false};
 } // namespace
-
-LogLevel
-logLevel()
-{
-    return gLogLevel;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    gLogLevel = level;
-}
 
 bool
 fatalThrows()
@@ -56,15 +43,7 @@ fatalImpl(const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (gLogLevel >= LogLevel::Warning)
-        std::cerr << "warn: " << msg << "\n";
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (gLogLevel >= LogLevel::Info)
-        std::cerr << "info: " << msg << "\n";
+    std::cerr << "warn: " << msg << "\n";
 }
 
 } // namespace detail

@@ -347,6 +347,95 @@ TEST(BitIdentity, FleetResumesExactlyUnderEveryDispatcher)
     }
 }
 
+TEST(FleetSim, CheckpointAtEveryWindowResumesExactly)
+{
+    // The fleet draws window k+1's arrivals while window k runs, so
+    // most barriers hold a look-ahead batch that the image must leave
+    // out. Save at every barrier — the last arrival window and the
+    // first drain windows included: the restored fleet must save the
+    // same bytes and, advanced one window beside the original, match
+    // it again; the last image finishes at 1 worker like a straight
+    // run. The saves start after the first window: before it the
+    // arrival stream holds no lookahead job, and its zeroed
+    // placeholder fails the loader's job-duration bound.
+    SimConfig config = fastConfig();
+    config.fleet.chassis = 4;
+    const auto arrivalWindows = static_cast<std::size_t>(
+        std::ceil(config.simTimeS / config.fleet.epochS));
+
+    FleetSim straight(config, "CP");
+    const std::string expected = serializeFleetMetrics(straight.run(1));
+
+    FleetSim fleet(config, "CP");
+    fleet.beginRun();
+    ASSERT_TRUE(fleet.advanceWindow(3));
+    std::string image;
+    for (;;) {
+        image = ckpt::saveFleet(fleet);
+        FleetSim restored(config, "CP");
+        ckpt::restoreFleet(restored, image);
+        ASSERT_EQ(image, ckpt::saveFleet(restored))
+            << "window " << fleet.windowsRun();
+        const bool more = fleet.advanceWindow(3);
+        ASSERT_EQ(more, restored.advanceWindow(3))
+            << "window " << fleet.windowsRun();
+        if (!more)
+            break;
+        ASSERT_EQ(ckpt::saveFleet(fleet), ckpt::saveFleet(restored))
+            << "window " << fleet.windowsRun();
+    }
+    EXPECT_GT(fleet.windowsRun(), arrivalWindows + 1);
+    EXPECT_EQ(expected, serializeFleetMetrics(fleet.finishRun()));
+
+    FleetSim resumed(config, "CP");
+    ckpt::restoreFleet(resumed, image);
+    while (resumed.advanceWindow(1)) {
+    }
+    EXPECT_EQ(expected, serializeFleetMetrics(resumed.finishRun()));
+}
+
+TEST(FleetSim, PhaseTotalsObserveWithoutChangingResults)
+{
+    // Two fleets with different wall-clock totals save the same image
+    // and finish with the same metrics: the totals sit outside the
+    // checkpointed registry and never feed back into the run.
+    SimConfig config = fastConfig();
+    config.fleet.chassis = 4;
+
+    const auto partRun = [&](FleetSim &fleet, bool read) {
+        fleet.beginRun();
+        for (int w = 0; w < 4; ++w)
+            EXPECT_TRUE(fleet.advanceWindow(2));
+        if (read) {
+            EXPECT_GT(fleet.phaseTotals().parallel.ns, 0u);
+        }
+        return ckpt::saveFleet(fleet);
+    };
+    FleetSim unread(config, "CP");
+    const std::string unreadImage = partRun(unread, false);
+    FleetSim read(config, "CP");
+    EXPECT_EQ(unreadImage, partRun(read, true));
+
+    while (unread.advanceWindow(2)) {
+    }
+    while (read.advanceWindow(2)) {
+    }
+    const FleetPhaseTotals totals = read.phaseTotals();
+    EXPECT_EQ(serializeFleetMetrics(unread.finishRun()),
+              serializeFleetMetrics(read.finishRun()));
+
+    for (const auto &[name, t] : totals.rows()) {
+        EXPECT_GT(t.calls, 0u) << name;
+        EXPECT_GT(t.ns, 0u) << name;
+    }
+    // Every window's barrier is timed, the final one that finds no
+    // pending work included; every other window has one beat.
+    EXPECT_EQ(totals.barrier.calls, read.windowsRun() + 1);
+    EXPECT_EQ(totals.parallel.calls, read.windowsRun());
+    EXPECT_EQ(totals.barrierWait.calls, read.windowsRun());
+    EXPECT_LT(totals.lookahead.calls, read.windowsRun());
+}
+
 // ------------------------------------------------ wire format
 
 /** One framed section of a checkpoint file: id and payload. */

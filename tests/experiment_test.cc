@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the experiment harness and its worker pool: empty-grid
- * handling, worker-exception propagation (util/parallel.hh), and the
+ * handling, the persistent pool's reuse, caller-first hook and
+ * thread cap, worker-exception propagation (util/parallel.hh), and the
  * ordering-independence regression — the same grid run on 1 and on 4
  * threads must produce bit-identical metrics, since every cell is
  * independently seeded and deterministic.
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +118,161 @@ TEST(Parallel, ExceptionOnSingleThreadPropagates)
                                  throw std::domain_error("boom");
                              }),
                  std::domain_error);
+}
+
+// ------------------------------------------------- persistent pool
+
+TEST(ParallelPool, TwoHundredCallsRunEveryItemOnce)
+{
+    WorkerPool pool(4, 16);
+    ASSERT_EQ(pool.threads(), 4u);
+    std::vector<std::atomic<int>> hits(16);
+    for (int call = 0; call < 200; ++call) {
+        for (auto &h : hits)
+            h = 0;
+        std::atomic<bool> badWorker{false};
+        pool.run(hits.size(), [&](std::size_t i, unsigned worker) {
+            ++hits[i];
+            if (worker >= pool.threads())
+                badWorker = true;
+        });
+        EXPECT_FALSE(badWorker.load()) << "call " << call;
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            ASSERT_EQ(hits[i].load(), 1)
+                << "call " << call << " index " << i;
+    }
+}
+
+TEST(ParallelPool, HookRunsOncePerCallOnTheCallingThread)
+{
+    WorkerPool pool(3, 8);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int call = 0; call < 50; ++call) {
+        int hooks = 0;
+        bool hookOnCaller = false;
+        std::atomic<int> items{0};
+        std::atomic<bool> workerZeroElsewhere{false};
+        pool.run(
+            8,
+            [&](std::size_t, unsigned worker) {
+                ++items;
+                if (worker == 0 && std::this_thread::get_id() != caller)
+                    workerZeroElsewhere = true;
+            },
+            [&] {
+                ++hooks;
+                hookOnCaller = std::this_thread::get_id() == caller;
+            });
+        EXPECT_EQ(hooks, 1);
+        EXPECT_TRUE(hookOnCaller);
+        EXPECT_EQ(items.load(), 8);
+        EXPECT_FALSE(workerZeroElsewhere.load());
+    }
+}
+
+TEST(ParallelPool, FailedCallReportsEveryFailureAndPoolStaysUsable)
+{
+    // Both workers throw while the other is mid-flight (the latch),
+    // so both failures are captured; the next call on the same pool
+    // must run every item again.
+    WorkerPool pool(2, 2);
+    std::atomic<int> armed{0};
+    testing::internal::CaptureStderr();
+    try {
+        pool.run(2, [&](std::size_t i, unsigned) {
+            ++armed;
+            while (armed.load() < 2) {
+            }
+            throw std::runtime_error("item " + std::to_string(i) +
+                                     " exploded");
+        });
+        FAIL() << "worker exception was swallowed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("exploded"),
+                  std::string::npos);
+    }
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("item 0 exploded"), std::string::npos) << log;
+    EXPECT_NE(log.find("item 1 exploded"), std::string::npos) << log;
+    EXPECT_NE(log.find("parallelFor: worker"), std::string::npos)
+        << log;
+
+    std::vector<std::atomic<int>> hits(50);
+    for (auto &h : hits)
+        h = 0;
+    pool.run(hits.size(), [&](std::size_t i, unsigned) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ParallelPool, FailedHookIsReportedAndRethrown)
+{
+    WorkerPool pool(2, 4);
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(pool.run(
+                     4, [](std::size_t, unsigned) {},
+                     [] { throw std::domain_error("hook exploded"); }),
+                 std::domain_error);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("worker 0: caller hook failed: hook exploded"),
+              std::string::npos)
+        << log;
+    std::atomic<int> ran{0};
+    pool.run(4, [&](std::size_t, unsigned) { ++ran; });
+    EXPECT_EQ(ran.load(), 4);
+}
+
+TEST(ParallelPool, ZeroItemsRunsOnlyTheHook)
+{
+    WorkerPool pool(4, 4);
+    int hooks = 0;
+    pool.run(
+        0, [](std::size_t, unsigned) { FAIL() << "ran a work item"; },
+        [&] { ++hooks; });
+    EXPECT_EQ(hooks, 1);
+}
+
+TEST(ParallelPool, OneThreadRunsEverythingOnTheCaller)
+{
+    WorkerPool pool(1, 10);
+    ASSERT_EQ(pool.threads(), 1u);
+    const std::thread::id caller = std::this_thread::get_id();
+    int ran = 0;
+    bool elsewhere = false;
+    pool.run(10, [&](std::size_t, unsigned worker) {
+        ++ran;
+        elsewhere = elsewhere || worker != 0 ||
+                    std::this_thread::get_id() != caller;
+    });
+    EXPECT_EQ(ran, 10);
+    EXPECT_FALSE(elsewhere);
+}
+
+TEST(ParallelPool, MoreThreadsThanItemsAreCapped)
+{
+    // The pool never starts more workers than its calls have items,
+    // and a call with fewer items than workers uses only as many.
+    EXPECT_EQ(WorkerPool(8, 3).threads(), 3u);
+    WorkerPool pool(4, 16);
+    for (int call = 0; call < 20; ++call) {
+        std::vector<std::atomic<int>> hits(2);
+        for (auto &h : hits)
+            h = 0;
+        std::atomic<unsigned> maxWorker{0};
+        pool.run(hits.size(), [&](std::size_t i, unsigned worker) {
+            ++hits[i];
+            unsigned seen = maxWorker.load();
+            while (worker > seen &&
+                   !maxWorker.compare_exchange_weak(seen, worker)) {
+            }
+        });
+        EXPECT_EQ(hits[0].load(), 1);
+        EXPECT_EQ(hits[1].load(), 1);
+        EXPECT_LT(maxWorker.load(), 2u);
+    }
+    int ran = 0;
+    parallelFor(3, 8, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran, 3);
 }
 
 // ------------------------------------------------------- experiment

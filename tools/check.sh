@@ -197,16 +197,17 @@ stage_fleet() {
     run_ctest build-fleet -R 'Fleet|Streamed|DomainSeed|Parallel'
     local out="build-fleet/fleet-smoke"
     mkdir -p "$out"
-    # A 4-chassis fleet at two worker counts: both summaries must be
-    # strict JSON, account for every dispatched job, and match byte
-    # for byte.
-    for t in 1 3; do
+    # A 4-chassis fleet at three worker counts (8 > 4 shards runs the
+    # pool's worker cap end to end): every summary must be strict
+    # JSON, account for every dispatched job, and match byte for byte.
+    for t in 1 3 8; do
         ./build-fleet/tools/densim run --fleet 4 --threads "$t" \
             --scheduler CF --load 0.7 \
             --set topo.rows=2 --set simTimeS=1 --set warmupS=0.2 \
             --json > "$out/fleet-t$t.json"
     done
     cmp "$out/fleet-t1.json" "$out/fleet-t3.json"
+    cmp "$out/fleet-t1.json" "$out/fleet-t8.json"
     python3 - "$out/fleet-t1.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -216,7 +217,7 @@ assert doc["jobsDispatched"] == doc["jobsArrived"], doc
 assert len(doc["dispatchedPerShard"]) == 4, doc
 assert sum(doc["dispatchedPerShard"]) == doc["jobsDispatched"], doc
 print(f"fleet smoke: {doc['jobsDispatched']} jobs across "
-      f"{doc['chassis']} chassis, bit-identical at 1 and 3 workers")
+      f"{doc['chassis']} chassis, bit-identical at 1, 3 and 8 workers")
 EOF
 }
 

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,8 +68,9 @@ usage()
         "  --seed N             RNG seed\n"
         "  --json / --csv       machine-readable output\n"
         "  --counters           report observability counters/gauges\n"
-        "                       and (single-chassis run) the engine\n"
-        "                       phases' wall-clock calls and ns\n"
+        "                       and the wall-clock calls and ns of the\n"
+        "                       engine phases (fleet run: the window\n"
+        "                       phases)\n"
         "  --trace FILE         trace path for trace-* commands\n"
         "  --jobs N             jobs to capture (trace-capture)\n"
         "  --threads N          sweep/fleet worker threads (0 = all\n"
@@ -301,17 +303,14 @@ printCounterTable(const obs::Registry &registry)
     gauges.print(std::cout);
 }
 
-/** Wall-clock totals of the engine phases (not part of any result). */
+/** Wall-clock phase totals (not part of any result). */
 void
-printPhaseTable(const obs::PhaseProfiler &profiler)
+printPhaseTable(std::span<const PhaseRow> rows)
 {
     TableWriter table({"Phase", "Calls", "Wall ns"});
-    for (unsigned p = 0; p < static_cast<unsigned>(obs::Phase::Count);
-         ++p) {
-        const auto phase = static_cast<obs::Phase>(p);
-        const obs::PhaseProfiler::Totals t = profiler.totals(phase);
+    for (const auto &[name, t] : rows) {
         table.newRow()
-            .cell(obs::phaseName(phase))
+            .cell(name)
             .cell(static_cast<long long>(t.calls))
             .cell(static_cast<long long>(t.ns));
     }
@@ -330,7 +329,8 @@ report(const Cli &cli, const SimConfig &config,
         if (cli.counters) {
             out << "{\"metrics\":" << metricsToJson(m) << ",\"obs\":"
                 << countersToJson(sim.observability())
-                << ",\"phases\":" << phasesToJson(sim.phaseProfile())
+                << ",\"phases\":"
+                << phasesToJson(phaseRows(sim.phaseProfile()))
                 << "}\n";
         } else {
             out << metricsToJson(m) << "\n";
@@ -341,7 +341,7 @@ report(const Cli &cli, const SimConfig &config,
     printRunTable(cli.scheduler, config, m);
     if (cli.counters) {
         printCounterTable(sim.observability());
-        printPhaseTable(sim.phaseProfile());
+        printPhaseTable(phaseRows(sim.phaseProfile()));
     }
 }
 
@@ -433,8 +433,9 @@ cmdFleetRun(const Cli &cli)
     if (cli.json) {
         if (cli.counters) {
             out << "{\"fleet\":" << fleetMetricsToJson(m)
-                << ",\"obs\":"
-                << countersToJson(fleet.observability()) << "}\n";
+                << ",\"obs\":" << countersToJson(fleet.observability())
+                << ",\"phases\":"
+                << phasesToJson(fleet.phaseTotals().rows()) << "}\n";
         } else {
             out << fleetMetricsToJson(m) << "\n";
         }
@@ -442,8 +443,10 @@ cmdFleetRun(const Cli &cli)
         return 0;
     }
     printFleetTable(cli, fleet, m);
-    if (cli.counters)
+    if (cli.counters) {
         printCounterTable(fleet.observability());
+        printPhaseTable(fleet.phaseTotals().rows());
+    }
     return 0;
 }
 
